@@ -46,21 +46,26 @@ main(int argc, char **argv)
                 "%llu) ===\n",
                 static_cast<unsigned long long>(options.refs));
 
-    // One batch over the full grid, mechanism-major then workload then
-    // interval, mirroring the rendering order below.
+    // One batch over the full grid, workload-major then interval then
+    // mechanism: the mechanisms sharing one stream and geometry are
+    // adjacent, so single-pass mode runs each group as one pass.
     std::vector<SweepJob> jobs;
-    for (const MechanismSpec &spec : mechs) {
-        for (const WorkloadSpec &workload : workloads) {
-            for (std::uint64_t interval : intervals) {
-                SimConfig config;
-                config.contextSwitchInterval = interval;
+    for (const WorkloadSpec &workload : workloads) {
+        for (std::uint64_t interval : intervals) {
+            SimConfig config;
+            config.contextSwitchInterval = interval;
+            for (const MechanismSpec &spec : mechs)
                 jobs.push_back(SweepJob::functional(workload, spec,
                                                     options.refs,
                                                     config));
-            }
         }
     }
     std::vector<SweepResult> results = runBatch(options, jobs);
+    auto cell = [&](std::size_t m, std::size_t w,
+                    std::size_t i) -> const SweepResult & {
+        return results[(w * std::size(intervals) + i) * mechs.size() +
+                       m];
+    };
 
     MultiSink records = recordSinks(options);
     if (!records.empty())
@@ -68,20 +73,19 @@ main(int argc, char **argv)
                         "accuracy"});
 
     std::vector<std::string> names = mechanismColumnLabels(mechs);
-    std::size_t cell = 0;
     for (std::size_t m = 0; m < mechs.size(); ++m) {
         TableSink out("--- " + names[m] +
                       " accuracy vs context-switch interval ---");
         out.header({"workload", "no switch", "every 500k",
                     "every 100k", "every 20k"});
-        for (const WorkloadSpec &workload : workloads) {
-            std::vector<std::string> row = {workload.label()};
-            for (std::uint64_t interval : intervals) {
-                const SweepResult &r = results[cell++];
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            std::vector<std::string> row = {workloads[w].label()};
+            for (std::size_t i = 0; i < std::size(intervals); ++i) {
+                const SweepResult &r = cell(m, w, i);
                 row.push_back(TablePrinter::num(r.accuracy(), 3));
                 if (!records.empty())
                     records.row({names[m], r.workload,
-                                 TablePrinter::num(interval),
+                                 TablePrinter::num(intervals[i]),
                                  TablePrinter::num(r.accuracy(), 6)});
             }
             out.row(row);

@@ -37,22 +37,17 @@ main(int argc, char **argv)
     std::vector<WorkloadSpec> workloads =
         selectedWorkloads(options, highMissRateApps());
 
-    // Workload-major, then mechanism, then (miss-only, full-feed),
-    // matching the table's column order.
+    // Workload-major, then feed (miss-only, full-feed), then
+    // mechanism: the mechanisms sharing one stream and geometry are
+    // adjacent, so single-pass mode runs each group as one pass.
+    SimConfig feeds[2];
+    feeds[1].trainOnAllRefs = true;
     std::vector<SweepJob> jobs;
-    for (const WorkloadSpec &workload : workloads) {
-        for (const MechanismSpec &spec : mechs) {
-            SimConfig miss_only;
-            SimConfig full_feed;
-            full_feed.trainOnAllRefs = true;
-            jobs.push_back(SweepJob::functional(workload, spec,
-                                                options.refs,
-                                                miss_only));
-            jobs.push_back(SweepJob::functional(workload, spec,
-                                                options.refs,
-                                                full_feed));
-        }
-    }
+    for (const WorkloadSpec &workload : workloads)
+        for (const SimConfig &feed : feeds)
+            for (const MechanismSpec &spec : mechs)
+                jobs.push_back(SweepJob::functional(workload, spec,
+                                                    options.refs, feed));
     std::vector<SweepResult> results = runBatch(options, jobs);
 
     std::vector<std::string> names = mechanismColumnLabels(mechs);
@@ -67,12 +62,12 @@ main(int argc, char **argv)
     if (!records.empty())
         records.header({"workload", "scheme", "feed", "accuracy"});
 
-    std::size_t cell = 0;
-    for (const WorkloadSpec &workload : workloads) {
-        std::vector<std::string> row = {workload.label()};
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        std::vector<std::string> row = {workloads[w].label()};
         for (std::size_t m = 0; m < mechs.size(); ++m) {
-            const SweepResult &miss = results[cell++];
-            const SweepResult &full = results[cell++];
+            const SweepResult &miss = results[(2 * w) * mechs.size() + m];
+            const SweepResult &full =
+                results[(2 * w + 1) * mechs.size() + m];
             row.push_back(TablePrinter::num(miss.accuracy(), 3));
             row.push_back(TablePrinter::num(full.accuracy(), 3));
             if (!records.empty()) {

@@ -37,7 +37,8 @@
  *                                  checkpoint chain (~1x total CPU)
  *   --single-pass on|off           batch consecutive same-stream
  *                                  functional cells into one stream
- *                                  pass over N simulators (default
+ *                                  pass: one TLB, per-mechanism
+ *                                  back-ends on the misses (default
  *                                  on; bit-identical results either
  *                                  way; ignored when --shards > 1)
  *

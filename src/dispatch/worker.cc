@@ -44,6 +44,7 @@ connectTo(const std::string &host, std::uint16_t port)
     if (::connect(sock.fd(), reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0)
         return -1; // retryable; the caller backs off
+    setNoDelay(sock.fd());
     return sock.release();
 }
 

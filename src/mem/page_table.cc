@@ -94,6 +94,16 @@ PageTable::find(Vpn vpn)
     return _map[b] == kEmptySlot ? nullptr : &_pool[_map[b]].pte;
 }
 
+std::size_t
+PageTable::unionSize(const PageTable &other) const
+{
+    std::size_t pages = size();
+    for (const Slot &slot : other._pool)
+        if (!find(slot.vpn))
+            ++pages;
+    return pages;
+}
+
 void
 PageTable::clear()
 {

@@ -61,6 +61,9 @@ class PageTable
     /** Number of PTEs materialised (the footprint in pages). */
     std::size_t size() const { return _pool.size(); }
 
+    /** Pages materialised in this table, @p other, or both. */
+    std::size_t unionSize(const PageTable &other) const;
+
     /**
      * Bytes of extra page-table storage RP's two link words cost,
      * assuming 8-byte words (used by the Table 1 bench).

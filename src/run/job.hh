@@ -16,11 +16,13 @@
  * cells.  A cell is therefore fully addressed by the string pair
  * (WorkloadSpec::label(), MechanismSpec::label()).
  *
- * Cells are embarrassingly parallel but wildly uneven in cost — a
- * checkpoint-chained shard task or a single-pass multi-mechanism
- * group can be 10–50x a plain functional cell — so a job also knows
- * its own rough relative cost (costWeight()), which the engine feeds
- * to the thread pool's weighted work-stealing scheduler.
+ * Cells are embarrassingly parallel but uneven in cost — a
+ * checkpoint-chained shard task is up to N shards' worth of work, and
+ * a 21-mechanism single-pass group costs ~1x a plain functional cell
+ * on a near-zero-miss app and ~10x on a 25%-miss one (one stream
+ * pass, then per-miss work for every mechanism) — so a job also
+ * knows its own rough relative cost (costWeight()), which the engine
+ * feeds to the thread pool's weighted work-stealing scheduler.
  */
 
 #ifndef TLBPF_RUN_JOB_HH

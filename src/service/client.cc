@@ -43,6 +43,7 @@ ServiceClient::ServiceClient(const std::string &host,
         throw TransportError("cannot connect to " + host + ":" +
                              std::to_string(port) + ": " +
                              std::strerror(errno));
+    setNoDelay(sock.fd());
     _fd = std::move(sock);
 }
 

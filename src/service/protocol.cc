@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -109,12 +111,19 @@ writeFrame(int fd, const std::string &payload)
             "frame payload of " + std::to_string(payload.size()) +
             " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
             "-byte frame bound");
-    char header[4];
+    std::string frame(4, '\0');
     std::uint32_t length = static_cast<std::uint32_t>(payload.size());
     for (int i = 0; i < 4; ++i)
-        header[i] = static_cast<char>(length >> (8 * i));
-    writeAll(fd, header, sizeof(header));
-    writeAll(fd, payload.data(), payload.size());
+        frame[i] = static_cast<char>(length >> (8 * i));
+    frame += payload;
+    writeAll(fd, frame.data(), frame.size());
+}
+
+void
+setNoDelay(int fd)
+{
+    int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 bool

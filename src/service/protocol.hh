@@ -97,11 +97,20 @@ class OwnedFd
 };
 
 /**
- * Write one frame; throws TransportError on any short/failed write
- * (SIGPIPE is suppressed per-call, so a vanished peer surfaces as an
- * exception, not a process signal).
+ * Write one frame — length prefix and payload in a single write, so
+ * a small frame leaves as one segment; throws TransportError on any
+ * short/failed write (SIGPIPE is suppressed per-call, so a vanished
+ * peer surfaces as an exception, not a process signal).
  */
 void writeFrame(int fd, const std::string &payload);
+
+/**
+ * Disable Nagle's algorithm on a connected TCP socket.  The protocol
+ * is request/reply: a frame held back waiting for the ACK of the
+ * previous one stalls a round trip by the peer's delayed-ACK timer.
+ * Best effort — a non-TCP fd is left as it is.
+ */
+void setNoDelay(int fd);
 
 /**
  * Read one frame payload.  Returns false on a clean EOF *between*

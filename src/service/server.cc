@@ -158,6 +158,7 @@ SweepServer::serve()
                                  std::strerror(errno));
         }
         OwnedFd conn(fd);
+        setNoDelay(conn.fd());
 
         std::lock_guard<std::mutex> lock(_sessionsMutex);
         if (_sessions.size() >= _options.maxClients) {

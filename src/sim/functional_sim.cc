@@ -1,6 +1,7 @@
 #include "sim/functional_sim.hh"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 
 #include "util/bits.hh"
@@ -9,25 +10,45 @@
 namespace tlbpf
 {
 
+namespace
+{
+
+/** log2(@p page_bytes) when it is a power of two, else UINT32_MAX. */
+std::uint32_t
+pageShiftOf(std::uint64_t page_bytes)
+{
+    return isPowerOfTwo(page_bytes) ? floorLog2(page_bytes)
+                                    : UINT32_MAX;
+}
+
+/** Page of @p ref under pageShiftOf(@p page_bytes) == @p shift. */
+inline Vpn
+pageNumber(const MemRef &ref, std::uint32_t shift,
+           std::uint64_t page_bytes)
+{
+    // The paper's page sizes are powers of two, so the hot path is a
+    // shift; the division is kept for exotic configs.
+    return shift != UINT32_MAX ? ref.vaddr >> shift
+                               : ref.vpn(page_bytes);
+}
+
+} // namespace
+
 FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
                                          const MechanismSpec &spec)
     : _config(config),
       _mechLabel(spec.label()),
+      _pageShift(pageShiftOf(config.pageBytes)),
       _tlb(config.tlb),
       _buffer(config.pbEntries),
       _prefetcher(spec.build(_pt))
 {
-    if (isPowerOfTwo(_config.pageBytes))
-        _pageShift = floorLog2(_config.pageBytes);
 }
 
 Vpn
 FunctionalSimulator::pageOf(const MemRef &ref) const
 {
-    // The paper's page sizes are powers of two, so the hot path is a
-    // shift; the division is kept for exotic configs.
-    return _pageShift != UINT32_MAX ? ref.vaddr >> _pageShift
-                                    : ref.vpn(_config.pageBytes);
+    return pageNumber(ref, _pageShift, _config.pageBytes);
 }
 
 void
@@ -247,30 +268,170 @@ simulate(const SimConfig &config, const MechanismSpec &spec,
     return sim.result();
 }
 
+namespace
+{
+
+/**
+ * The mechanism-dependent half of FunctionalSimulator::process(): a
+ * prefetch buffer, the prefetcher and the counters they drive.  The
+ * TLB, page numbering and the refs/misses/contextSwitches counters
+ * belong to the shared front-end in simulateMany(), which calls in
+ * here on every TLB miss (and, under trainOnAllRefs, on the hits its
+ * mechanism observes) with the shared TLB already updated.
+ */
+class MissBackEnd
+{
+  public:
+    MissBackEnd(const SimConfig &config, const MechanismSpec &spec)
+        : _buffer(config.pbEntries),
+          _prefetcher(spec.build(_pt)),
+          // RP's stack is defined by TLB evictions, so it never
+          // observes hits (the same exclusion process() makes).
+          _trainsOnHits(config.trainOnAllRefs && _prefetcher &&
+                        _prefetcher->name() != "RP")
+    {
+    }
+
+    // Pinned: the prefetcher holds a reference to _pt.
+    MissBackEnd(const MissBackEnd &) = delete;
+    MissBackEnd &operator=(const MissBackEnd &) = delete;
+
+    bool trainsOnHits() const { return _trainsOnHits; }
+
+    /** Context switch: the shared TLB is flushed by the caller. */
+    void
+    flush()
+    {
+        _buffer.flush();
+        if (_prefetcher)
+            _prefetcher->reset();
+    }
+
+    /** TLB miss to @p vpn, which @p tlb has just installed. */
+    void
+    onMiss(Vpn vpn, Addr pc, Vpn evicted, const Tlb &tlb)
+    {
+        Tick ready_at = 0;
+        bool pb_hit = _buffer.hitAndPromote(vpn, ready_at);
+        if (pb_hit)
+            ++_result.pbHits;
+        else
+            ++_result.demandFetches;
+        if (!_prefetcher)
+            return;
+        _decision.clear();
+        _prefetcher->onMiss(TlbMiss{vpn, pc, pb_hit, evicted},
+                            _decision);
+        _result.stateOps += _decision.stateOps;
+        queueTargets(vpn, tlb);
+    }
+
+    /** TLB hit to @p vpn, seen only when trainsOnHits(). */
+    void
+    onHit(Vpn vpn, Addr pc, const Tlb &tlb)
+    {
+        _decision.clear();
+        _prefetcher->onMiss(TlbMiss{vpn, pc, false, kNoPage}, _decision);
+        queueTargets(vpn, tlb);
+    }
+
+    /**
+     * This mechanism's full counters: @p shared supplies the
+     * mechanism-independent ones.  The footprint is every page the
+     * front-end or the mechanism materialised — exactly the pages a
+     * FunctionalSimulator's single table would hold.
+     */
+    SimResult
+    result(const SimResult &shared, const PageTable &shared_pt) const
+    {
+        SimResult r = _result;
+        r.refs = shared.refs;
+        r.misses = shared.misses;
+        r.contextSwitches = shared.contextSwitches;
+        r.footprintPages = shared_pt.unionSize(_pt);
+        r.pbEvictedUnused = _buffer.evictedUnused();
+        return r;
+    }
+
+  private:
+    /** Queue the decision's targets, suppressing duplicates. */
+    void
+    queueTargets(Vpn vpn, const Tlb &tlb)
+    {
+        for (Vpn target : _decision.targets) {
+            if (target == vpn || tlb.contains(target) ||
+                _buffer.contains(target)) {
+                ++_result.prefetchesSuppressed;
+                continue;
+            }
+            _buffer.insert(target, 0);
+            ++_result.prefetchesIssued;
+        }
+    }
+
+    /** Filled only by the mechanism itself (RP's stack links). */
+    PageTable _pt;
+    PrefetchBuffer _buffer;
+    std::unique_ptr<Prefetcher> _prefetcher;
+    bool _trainsOnHits;
+    PrefetchDecision _decision;
+    SimResult _result;
+};
+
+} // namespace
+
 std::vector<SimResult>
 simulateMany(const SimConfig &config,
              const std::vector<MechanismSpec> &specs, RefStream &stream)
 {
-    // unique_ptr, not by value: a simulator's prefetcher holds a
-    // reference to the simulator's own page table, so the object must
-    // never relocate.
-    std::vector<std::unique_ptr<FunctionalSimulator>> sims;
-    sims.reserve(specs.size());
-    for (const MechanismSpec &spec : specs)
-        sims.push_back(
-            std::make_unique<FunctionalSimulator>(config, spec));
+    // A deque grows without relocating its (pinned) elements.
+    std::deque<MissBackEnd> backs;
+    std::vector<MissBackEnd *> hit_trainers;
+    for (const MechanismSpec &spec : specs) {
+        MissBackEnd &back = backs.emplace_back(config, spec);
+        if (back.trainsOnHits())
+            hit_trainers.push_back(&back);
+    }
+
+    const std::uint32_t shift = pageShiftOf(config.pageBytes);
+    Tlb tlb(config.tlb);
+    PageTable pt;
+    SimResult shared;
     std::vector<MemRef> block(kSimBatchRefs);
     std::size_t got;
     while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
-        for (auto &sim : sims) {
-            for (std::size_t i = 0; i < got; ++i)
-                sim->process(block[i]);
+        for (std::size_t i = 0; i < got; ++i) {
+            const MemRef &ref = block[i];
+            if (config.contextSwitchInterval && shared.refs > 0 &&
+                shared.refs % config.contextSwitchInterval == 0) {
+                tlb.flush();
+                for (MissBackEnd &back : backs)
+                    back.flush();
+                ++shared.contextSwitches;
+            }
+            ++shared.refs;
+            Vpn vpn = pageNumber(ref, shift, config.pageBytes);
+
+            if (tlb.access(vpn)) {
+                for (MissBackEnd *back : hit_trainers)
+                    back->onHit(vpn, ref.pc, tlb);
+                continue;
+            }
+
+            ++shared.misses;
+            pt.lookup(vpn); // materialise the translation
+            Vpn evicted = tlb.insert(vpn).value_or(kNoPage);
+            // Lockstep: every back-end handles this miss against the
+            // exact shared TLB before the next reference probes it.
+            for (MissBackEnd &back : backs)
+                back.onMiss(vpn, ref.pc, evicted, tlb);
         }
     }
+
     std::vector<SimResult> results;
-    results.reserve(sims.size());
-    for (auto &sim : sims)
-        results.push_back(sim->result());
+    results.reserve(backs.size());
+    for (const MissBackEnd &back : backs)
+        results.push_back(back.result(shared, pt));
     return results;
 }
 

@@ -189,7 +189,7 @@ class FunctionalSimulator
 /**
  * References pulled per nextBatch call by the batched simulate loops:
  * large enough to amortise the virtual dispatch, small enough that the
- * block stays cache-resident while N simulators consume it.
+ * block stays cache-resident while it is consumed.
  */
 constexpr std::size_t kSimBatchRefs = 4096;
 
@@ -198,12 +198,32 @@ SimResult simulate(const SimConfig &config, const MechanismSpec &spec,
                    RefStream &stream);
 
 /**
- * Run @p stream to exhaustion once, feeding every reference block to
- * one independent simulator per mechanism in @p specs — the
- * single-pass multi-mechanism mode.  The simulators share nothing but
- * the decoded reference blocks, so result i is bit-identical to
- * simulate(config, specs[i], stream) over a fresh stream; the stream
- * generation/decode cost is paid once instead of specs.size() times.
+ * Run @p stream to exhaustion once under every mechanism in @p specs
+ * — the single-pass multi-mechanism mode.  Result i is bit-identical
+ * to simulate(config, specs[i], stream) over a fresh stream, at a
+ * fraction of the cost, because the simulator is split at the TLB:
+ *
+ *   - one shared front-end decodes the stream, maps pages, detects
+ *     context switches and drives the only TLB and the page table
+ *     that supplies footprintPages;
+ *   - one back-end per mechanism holds a prefetch buffer, the
+ *     prefetcher and its counters, and runs only on TLB misses (and,
+ *     under trainOnAllRefs, on the hits its mechanism observes).
+ *
+ * Why this is exact: the TLB's contents do not depend on the
+ * mechanism.  Every miss installs the missing page whether or not
+ * the buffer held it, prefetches land only in the buffer, and a
+ * buffer hit removes the page from the buffer but installs it in the
+ * TLB exactly as a demand fetch would; a context switch flushes at
+ * the same references for every mechanism.  Back-ends only *read* the TLB (duplicate suppression),
+ * and each handles miss i before the front-end moves on, so every
+ * read sees the exact TLB its own FunctionalSimulator would hold.  A
+ * mechanism's page table holds only what the mechanism itself
+ * materialised (RP's stack links); footprintPages counts the union
+ * of that and the front-end's table, as one table would.
+ *
+ * FunctionalSimulator::process() is the per-reference oracle this
+ * path is differentially tested against.
  */
 std::vector<SimResult> simulateMany(const SimConfig &config,
                                     const std::vector<MechanismSpec> &specs,

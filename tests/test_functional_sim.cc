@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "prefetch/mech_spec.hh"
+#include "sim/experiment.hh"
 #include "sim/functional_sim.hh"
 #include "trace/ref_stream.hh"
 #include "util/random.hh"
+#include "workload/app_registry.hh"
+#include "workload/workload_spec.hh"
 
 namespace tlbpf
 {
@@ -258,6 +262,159 @@ TEST(FunctionalSim, PageSizeChangesFootprint)
     EXPECT_EQ(r4k.footprintPages, 64u);
     EXPECT_EQ(r16k.footprintPages, 16u);
     EXPECT_GT(r4k.misses, r16k.misses);
+}
+
+// ------------------------------------------- simulateMany vs simulate
+
+/**
+ * An open-registry mechanism that materialises its own targets in its
+ * page table: stride echo (predict vpn + the last miss-to-miss
+ * delta).  It is the one mechanism here whose table holds pages the
+ * TLB never missed on, so it pins down footprintPages in the split
+ * simulator.
+ */
+class StrideEcho : public Prefetcher
+{
+  public:
+    explicit StrideEcho(PageTable &pt) : _pt(pt) {}
+
+    void
+    onMiss(const TlbMiss &miss, PrefetchDecision &decision) override
+    {
+        if (_last != kNoPage) {
+            Vpn target = miss.vpn + (miss.vpn - _last);
+            _pt.lookup(target);
+            decision.targets.push_back(target);
+        }
+        _last = miss.vpn;
+    }
+
+    void reset() override { _last = kNoPage; }
+    std::string name() const override { return "ECHO"; }
+    std::string label() const override { return "echo"; }
+    HardwareProfile hardwareProfile() const override { return {}; }
+
+  private:
+    PageTable &_pt;
+    Vpn _last = kNoPage;
+};
+
+/** Every mechanism the differential test runs, "echo" included. */
+const std::vector<MechanismSpec> &
+differentialSpecs()
+{
+    static const std::vector<MechanismSpec> specs = [] {
+        MechanismEntry echo;
+        echo.name = "echo";
+        echo.shortName = "ECHO";
+        echo.summary = "stride echo, registered by test_functional_sim";
+        echo.build = [](const MechanismSpec &, PageTable &pt) {
+            return std::make_unique<StrideEcho>(pt);
+        };
+        MechanismRegistry::instance().add(echo);
+
+        std::vector<MechanismSpec> all = figure7Specs();
+        for (const char *text :
+             {"none", "sp", "sp(adaptive)", "rp(reach=2)",
+              "hybrid(dp+rp+sp(adaptive))", "echo"})
+            all.push_back(MechanismSpec::parse(text));
+        return all;
+    }();
+    return specs;
+}
+
+/**
+ * simulateMany over one stream must equal a fresh per-spec
+ * simulate() — the per-reference oracle — counter for counter.
+ */
+void
+expectManyMatchesOracle(const SimConfig &config,
+                        const WorkloadSpec &workload,
+                        std::uint64_t refs)
+{
+    const std::vector<MechanismSpec> &specs = differentialSpecs();
+    auto shared = workload.build(refs);
+    std::vector<SimResult> many = simulateMany(config, specs, *shared);
+    ASSERT_EQ(many.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        auto fresh = workload.build(refs);
+        SimResult oracle = simulate(config, specs[i], *fresh);
+        EXPECT_EQ(many[i], oracle)
+            << workload.label() << " under " << specs[i].label()
+            << ": misses " << many[i].misses << " vs " << oracle.misses
+            << ", pbHits " << many[i].pbHits << " vs " << oracle.pbHits
+            << ", issued " << many[i].prefetchesIssued << " vs "
+            << oracle.prefetchesIssued << ", footprint "
+            << many[i].footprintPages << " vs " << oracle.footprintPages;
+    }
+}
+
+TEST(SimulateMany, MatchesPerSpecOracleOnEveryApp)
+{
+    for (const AppModel &app : appRegistry())
+        expectManyMatchesOracle(SimConfig{}, WorkloadSpec::app(app.name),
+                                20000);
+}
+
+TEST(SimulateMany, MatchesPerSpecOracleAcrossGeometries)
+{
+    std::vector<SimConfig> configs;
+    auto add = [&](auto &&edit) {
+        SimConfig config;
+        edit(config);
+        configs.push_back(config);
+    };
+    add([](SimConfig &c) { c.tlb = TlbConfig{64, 4}; });
+    add([](SimConfig &c) { c.tlb = TlbConfig{256, 2}; });
+    add([](SimConfig &c) { c.contextSwitchInterval = 1; });
+    // Does not divide kSimBatchRefs: flushes land mid-block.
+    add([](SimConfig &c) { c.contextSwitchInterval = 3001; });
+    add([](SimConfig &c) {
+        c.tlb = TlbConfig{64, 4};
+        c.contextSwitchInterval = 5000;
+    });
+    add([](SimConfig &c) { c.trainOnAllRefs = true; });
+    add([](SimConfig &c) {
+        c.trainOnAllRefs = true;
+        c.contextSwitchInterval = 3001;
+    });
+    add([](SimConfig &c) { c.pbEntries = 1; });
+    add([](SimConfig &c) { c.pageBytes = 12288; }); // not a power of 2
+
+    std::vector<WorkloadSpec> workloads;
+    for (const std::string &name : highMissRateApps())
+        workloads.push_back(WorkloadSpec::app(name));
+    workloads.push_back(WorkloadSpec::app("eon")); // near-zero misses
+    workloads.push_back(WorkloadSpec::parse(
+        std::string("trace:") + TLBPF_TEST_DATA_DIR + "/sample.tpf"));
+    workloads.push_back(WorkloadSpec::parse("mix:mcf+gcc@5k"));
+
+    for (const SimConfig &config : configs) {
+        // Every reference misses at interval 1: keep that one short.
+        std::uint64_t refs =
+            config.contextSwitchInterval == 1 ? 4000 : 20000;
+        for (const WorkloadSpec &workload : workloads) {
+            SCOPED_TRACE(testing::Message()
+                         << "tlb " << config.tlb.entries << "/"
+                         << config.tlb.assoc << " pb "
+                         << config.pbEntries << " page "
+                         << config.pageBytes << " cs "
+                         << config.contextSwitchInterval << " all-refs "
+                         << config.trainOnAllRefs);
+            expectManyMatchesOracle(config, workload, refs);
+        }
+    }
+}
+
+TEST(SimulateMany, EmptySpecListAndEmptyStream)
+{
+    auto stream = pageStream({1, 2, 3});
+    EXPECT_TRUE(simulateMany(SimConfig{}, {}, *stream).empty());
+    VectorStream empty(std::vector<MemRef>{});
+    std::vector<SimResult> none =
+        simulateMany(SimConfig{}, {spec("dp")}, empty);
+    ASSERT_EQ(none.size(), 1u);
+    EXPECT_EQ(none[0], SimResult{});
 }
 
 } // namespace

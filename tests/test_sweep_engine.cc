@@ -243,8 +243,9 @@ TEST(SweepEngine, ResultsComeBackInSubmissionOrder)
  * Single-pass mode must be an invisible optimization: every counter
  * of every cell equals the per-mechanism run, for batches that group
  * fully (one workload, N mechanisms), batches that cannot group at
- * all, and batches that group piecewise (workload changes mid-batch,
- * timed cells interleaved).
+ * all, batches that group piecewise (workload changes mid-batch,
+ * timed cells interleaved), and batches whose geometry context-
+ * switches on a set-associative TLB.
  */
 TEST(SweepEngine, SinglePassMatchesPerMechanismCellForCell)
 {
@@ -275,6 +276,19 @@ TEST(SweepEngine, SinglePassMatchesPerMechanismCellForCell)
         SweepJob::functional(WorkloadSpec::app("gcc"), rp, kRefs));
     batches.push_back(piecewise);
 
+    // Context switches on a set-associative TLB: flushes land mid-
+    // block, and every mechanism's buffer and state reset with them.
+    SimConfig switching;
+    switching.tlb = TlbConfig{64, 4};
+    switching.contextSwitchInterval = 3001;
+    std::vector<SweepJob> flushed;
+    for (const char *spec : {"DP,256,D", "RP", "MP,256,F", "none"})
+        flushed.push_back(
+            SweepJob::functional(WorkloadSpec::app("galgel"),
+                                 MechanismSpec::parse(spec), kRefs,
+                                 switching));
+    batches.push_back(flushed);
+
     for (const std::vector<SweepJob> &jobs : batches) {
         SweepEngine engine(2);
         std::vector<SweepResult> per_mech =
@@ -284,18 +298,7 @@ TEST(SweepEngine, SinglePassMatchesPerMechanismCellForCell)
         ASSERT_EQ(per_mech.size(), jobs.size());
         ASSERT_EQ(single_pass.size(), jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SimResult &a = per_mech[i].functional;
-            const SimResult &b = single_pass[i].functional;
-            EXPECT_EQ(a.refs, b.refs) << "slot " << i;
-            EXPECT_EQ(a.misses, b.misses) << "slot " << i;
-            EXPECT_EQ(a.pbHits, b.pbHits) << "slot " << i;
-            EXPECT_EQ(a.demandFetches, b.demandFetches) << "slot " << i;
-            EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued)
-                << "slot " << i;
-            EXPECT_EQ(a.prefetchesSuppressed, b.prefetchesSuppressed)
-                << "slot " << i;
-            EXPECT_EQ(a.stateOps, b.stateOps) << "slot " << i;
-            EXPECT_EQ(a.footprintPages, b.footprintPages)
+            EXPECT_EQ(per_mech[i].functional, single_pass[i].functional)
                 << "slot " << i;
             EXPECT_EQ(per_mech[i].mode, single_pass[i].mode)
                 << "slot " << i;
