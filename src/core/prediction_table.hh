@@ -7,11 +7,18 @@
  * within a set, exactly the configurations swept in the paper's
  * Figures 7-9.  Rows are tagged with the full key so aliasing behaves
  * like hardware would.
+ *
+ * Sets of at least kIndexMinWays ways (the paper's F geometries) are
+ * looked up and replaced through a WideSetIndex, as the TLB's are, so
+ * a 256-row fully-associative table costs O(1) per access instead of
+ * a 256-row scan.  The rows stay authoritative: replacement picks the
+ * same victim the scan would, and the snapshot bytes are the rows.
  */
 
 #ifndef TLBPF_CORE_PREDICTION_TABLE_HH
 #define TLBPF_CORE_PREDICTION_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,6 +26,7 @@
 #include "util/bits.hh"
 #include "util/logging.hh"
 #include "util/snapshot.hh"
+#include "util/wide_set_index.hh"
 
 namespace tlbpf
 {
@@ -66,7 +74,8 @@ class PredictionTable
 {
   public:
     explicit PredictionTable(const TableConfig &config)
-        : _config(config), _ways(config.ways())
+        : _config(config), _ways(config.ways()),
+          _wide(_ways ? config.rows / _ways : 0, _ways)
     {
         if (config.rows == 0)
             tlbpf_fatal("prediction table needs rows");
@@ -90,6 +99,8 @@ class PredictionTable
         if (!row)
             return nullptr;
         row->lastUse = ++_clock;
+        if (_wide.enabled())
+            _wide.touch(slotOf(row));
         ++_hits;
         return &row->payload;
     }
@@ -115,21 +126,30 @@ class PredictionTable
         ++_misses;
         std::size_t base = setBase(key);
         Row *victim = nullptr;
-        for (std::size_t w = 0; w < _ways; ++w) {
-            Row &row = _rows[base + w];
-            if (!row.valid) {
-                victim = &row;
-                break;
+        if (_wide.enabled()) {
+            victim = &_rows[_wide.victim(_rows, base)];
+        } else {
+            for (std::size_t w = 0; w < _ways; ++w) {
+                Row &row = _rows[base + w];
+                if (!row.valid) {
+                    victim = &row;
+                    break;
+                }
+                if (!victim || row.lastUse < victim->lastUse)
+                    victim = &row;
             }
-            if (!victim || row.lastUse < victim->lastUse)
-                victim = &row;
         }
-        if (victim->valid)
+        if (victim->valid) {
             ++_evictions;
+            if (_wide.enabled())
+                _wide.remove(_rows, slotOf(victim));
+        }
         victim->valid = true;
         victim->key = key;
         victim->lastUse = ++_clock;
         victim->payload = Payload{};
+        if (_wide.enabled())
+            _wide.add(key, slotOf(victim));
         return victim->payload;
     }
 
@@ -141,6 +161,8 @@ class PredictionTable
     {
         for (Row &row : _rows)
             row.valid = false;
+        if (_wide.enabled())
+            _wide.clear();
         _clock = 0;
         _hits = 0;
         _misses = 0;
@@ -190,7 +212,9 @@ class PredictionTable
     /**
      * Restore state written by snapshotState() into a table of the
      * same geometry; throws std::invalid_argument (via
-     * SnapshotReader::fail) if the row count differs.
+     * SnapshotReader::fail) if the row count differs, a key sits in
+     * the wrong set or a key is stored twice.  A scan would merely
+     * hide such rows, but the wide-set index would find them.
      */
     template <typename ReadPayload>
     void
@@ -205,7 +229,10 @@ class PredictionTable
             SnapshotReader::fail(
                 "prediction table has " + std::to_string(rows) +
                 " rows, expected " + std::to_string(_rows.size()));
-        for (Row &row : _rows) {
+        std::vector<std::uint64_t> keys;
+        keys.reserve(_rows.size());
+        for (std::size_t i = 0; i < _rows.size(); ++i) {
+            Row &row = _rows[i];
             row.valid = in.boolean();
             if (!row.valid) {
                 row.key = 0;
@@ -214,9 +241,20 @@ class PredictionTable
                 continue;
             }
             row.key = in.u64();
+            if (setBase(row.key) != i - i % _ways)
+                SnapshotReader::fail(
+                    "prediction table checkpoint places key " +
+                    std::to_string(row.key) + " in the wrong set");
+            keys.push_back(row.key);
             row.lastUse = in.u64();
             read_payload(in, row.payload);
         }
+        std::sort(keys.begin(), keys.end());
+        if (std::adjacent_find(keys.begin(), keys.end()) != keys.end())
+            SnapshotReader::fail(
+                "duplicate prediction table key in checkpoint");
+        if (_wide.enabled())
+            _wide.rebuild(_rows);
     }
 
     /**
@@ -258,9 +296,19 @@ class PredictionTable
                static_cast<std::size_t>(_ways);
     }
 
+    std::uint32_t
+    slotOf(const Row *row) const
+    {
+        return static_cast<std::uint32_t>(row - _rows.data());
+    }
+
     Row *
     findRow(std::uint64_t key)
     {
+        if (_wide.enabled()) {
+            std::uint32_t slot = _wide.find(_rows, key);
+            return slot == Index::kNoSlot ? nullptr : &_rows[slot];
+        }
         std::size_t base = setBase(key);
         for (std::size_t w = 0; w < _ways; ++w) {
             Row &row = _rows[base + w];
@@ -270,9 +318,13 @@ class PredictionTable
         return nullptr;
     }
 
+    using Index = WideSetIndex<Row, &Row::key>;
+
     TableConfig _config;
     std::uint32_t _ways;
     std::vector<Row> _rows;
+    /** Lookup and LRU acceleration; disabled for narrow sets. */
+    Index _wide;
     std::uint64_t _clock = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

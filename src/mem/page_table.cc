@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "util/bits.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -18,16 +19,6 @@ constexpr std::uint32_t kEmptySlot = UINT32_MAX;
 /** Initial bucket count; grown by doubling to keep load under 50%. */
 constexpr std::size_t kInitialBuckets = 1024;
 
-/** splitmix64 finalizer: strong enough that probes stay short. */
-inline std::uint64_t
-hashVpn(Vpn vpn)
-{
-    std::uint64_t x = vpn + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 } // namespace
 
 PageTable::PageTable()
@@ -39,7 +30,7 @@ std::size_t
 PageTable::probe(Vpn vpn) const
 {
     std::size_t mask = _map.size() - 1;
-    std::size_t b = hashVpn(vpn) & mask;
+    std::size_t b = hashKey(vpn) & mask;
     while (_map[b] != kEmptySlot && _pool[_map[b]].vpn != vpn)
         b = (b + 1) & mask;
     return b;
@@ -51,7 +42,7 @@ PageTable::grow()
     std::vector<std::uint32_t> bigger(_map.size() * 2, kEmptySlot);
     std::size_t mask = bigger.size() - 1;
     for (std::size_t idx = 0; idx < _pool.size(); ++idx) {
-        std::size_t b = hashVpn(_pool[idx].vpn) & mask;
+        std::size_t b = hashKey(_pool[idx].vpn) & mask;
         while (bigger[b] != kEmptySlot)
             b = (b + 1) & mask;
         bigger[b] = static_cast<std::uint32_t>(idx);

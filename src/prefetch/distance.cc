@@ -13,10 +13,7 @@ void
 DistancePrefetcher::onMiss(const TlbMiss &miss,
                            PrefetchDecision &decision)
 {
-    _scratch.clear();
-    _predictor.observe(miss.vpn, _scratch);
-    for (std::uint64_t target : _scratch)
-        decision.targets.push_back(target);
+    _predictor.observe(miss.vpn, decision.targets);
 }
 
 void

@@ -32,6 +32,36 @@ pageNumber(const MemRef &ref, std::uint32_t shift,
                                : ref.vpn(page_bytes);
 }
 
+/**
+ * Whether @p prefetcher also observes TLB hits: under the
+ * trainOnAllRefs ablation every mechanism does except RP, whose stack
+ * is defined by TLB evictions.
+ */
+bool
+observesHits(const SimConfig &config, const Prefetcher *prefetcher)
+{
+    return config.trainOnAllRefs && prefetcher &&
+           prefetcher->name() != "RP";
+}
+
+/**
+ * Issue @p targets, predicted on a reference to @p vpn: a target that
+ * is the page itself, is in @p tlb or is already in @p buffer is
+ * suppressed; any other goes into the buffer.
+ */
+inline void
+issuePrefetches(const std::vector<Vpn> &targets, Vpn vpn, const Tlb &tlb,
+                PrefetchBuffer &buffer, SimResult &result)
+{
+    for (Vpn target : targets) {
+        if (target != vpn && !tlb.contains(target) &&
+            buffer.insertIfAbsent(target))
+            ++result.prefetchesIssued;
+        else
+            ++result.prefetchesSuppressed;
+    }
+}
+
 } // namespace
 
 FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
@@ -41,7 +71,8 @@ FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
       _pageShift(pageShiftOf(config.pageBytes)),
       _tlb(config.tlb),
       _buffer(config.pbEntries),
-      _prefetcher(spec.build(_pt))
+      _prefetcher(spec.build(_pt)),
+      _trainsOnHits(observesHits(config, _prefetcher.get()))
 {
 }
 
@@ -68,22 +99,13 @@ FunctionalSimulator::process(const MemRef &ref)
 
     if (_tlb.access(vpn)) {
         // Ablation mode: the prefetcher observes hits as well (it sits
-        // on the reference stream rather than the miss stream).  RP is
-        // excluded — its stack is defined by TLB evictions.
-        if (_config.trainOnAllRefs && _prefetcher &&
-            _prefetcher->name() != "RP") {
+        // on the reference stream rather than the miss stream).
+        if (_trainsOnHits) {
             _decision.clear();
             TlbMiss observed{vpn, ref.pc, false, kNoPage};
             _prefetcher->onMiss(observed, _decision);
-            for (Vpn target : _decision.targets) {
-                if (target == vpn || _tlb.contains(target) ||
-                    _buffer.contains(target)) {
-                    ++_result.prefetchesSuppressed;
-                    continue;
-                }
-                _buffer.insert(target, 0);
-                ++_result.prefetchesIssued;
-            }
+            issuePrefetches(_decision.targets, vpn, _tlb, _buffer,
+                            _result);
         }
         return;
     }
@@ -107,16 +129,7 @@ FunctionalSimulator::process(const MemRef &ref)
     TlbMiss miss{vpn, ref.pc, pb_hit, evicted.value_or(kNoPage)};
     _prefetcher->onMiss(miss, _decision);
     _result.stateOps += _decision.stateOps;
-
-    for (Vpn target : _decision.targets) {
-        if (target == vpn || _tlb.contains(target) ||
-            _buffer.contains(target)) {
-            ++_result.prefetchesSuppressed;
-            continue;
-        }
-        _buffer.insert(target, 0);
-        ++_result.prefetchesIssued;
-    }
+    issuePrefetches(_decision.targets, vpn, _tlb, _buffer, _result);
 }
 
 const SimResult &
@@ -285,10 +298,7 @@ class MissBackEnd
     MissBackEnd(const SimConfig &config, const MechanismSpec &spec)
         : _buffer(config.pbEntries),
           _prefetcher(spec.build(_pt)),
-          // RP's stack is defined by TLB evictions, so it never
-          // observes hits (the same exclusion process() makes).
-          _trainsOnHits(config.trainOnAllRefs && _prefetcher &&
-                        _prefetcher->name() != "RP")
+          _trainsOnHits(observesHits(config, _prefetcher.get()))
     {
     }
 
@@ -323,7 +333,7 @@ class MissBackEnd
         _prefetcher->onMiss(TlbMiss{vpn, pc, pb_hit, evicted},
                             _decision);
         _result.stateOps += _decision.stateOps;
-        queueTargets(vpn, tlb);
+        issuePrefetches(_decision.targets, vpn, tlb, _buffer, _result);
     }
 
     /** TLB hit to @p vpn, seen only when trainsOnHits(). */
@@ -332,7 +342,7 @@ class MissBackEnd
     {
         _decision.clear();
         _prefetcher->onMiss(TlbMiss{vpn, pc, false, kNoPage}, _decision);
-        queueTargets(vpn, tlb);
+        issuePrefetches(_decision.targets, vpn, tlb, _buffer, _result);
     }
 
     /**
@@ -354,21 +364,6 @@ class MissBackEnd
     }
 
   private:
-    /** Queue the decision's targets, suppressing duplicates. */
-    void
-    queueTargets(Vpn vpn, const Tlb &tlb)
-    {
-        for (Vpn target : _decision.targets) {
-            if (target == vpn || tlb.contains(target) ||
-                _buffer.contains(target)) {
-                ++_result.prefetchesSuppressed;
-                continue;
-            }
-            _buffer.insert(target, 0);
-            ++_result.prefetchesIssued;
-        }
-    }
-
     /** Filled only by the mechanism itself (RP's stack links). */
     PageTable _pt;
     PrefetchBuffer _buffer;

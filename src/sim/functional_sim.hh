@@ -182,6 +182,8 @@ class FunctionalSimulator
     Tlb _tlb;
     PrefetchBuffer _buffer;
     std::unique_ptr<Prefetcher> _prefetcher;
+    /** The prefetcher also observes TLB hits (trainOnAllRefs). */
+    bool _trainsOnHits;
     PrefetchDecision _decision;
     SimResult _result;
 };

@@ -105,9 +105,12 @@ simulateTimed(const SimConfig &config, const TimingConfig &timing,
               const MechanismSpec &spec, RefStream &stream)
 {
     TimingSimulator sim(config, timing, spec);
-    MemRef ref;
-    while (stream.next(ref))
-        sim.process(ref);
+    std::vector<MemRef> block(kSimBatchRefs);
+    std::size_t got;
+    while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
+        for (std::size_t i = 0; i < got; ++i)
+            sim.process(block[i]);
+    }
     return sim.result();
 }
 

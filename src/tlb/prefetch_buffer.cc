@@ -54,12 +54,7 @@ PrefetchBuffer::insert(Vpn vpn, Tick ready_at)
             return;
         }
     }
-    if (_nodes.size() >= _capacity) {
-        _nodes.pop_back();
-        ++_evictedUnused;
-    }
-    _nodes.insert(_nodes.begin(), Node{vpn, ready_at});
-    ++_inserts;
+    fill(vpn, ready_at);
 }
 
 void

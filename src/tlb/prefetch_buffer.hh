@@ -50,6 +50,22 @@ class PrefetchBuffer
      */
     void insert(Vpn vpn, Tick ready_at = 0);
 
+    /**
+     * Insert @p vpn unless it is already buffered, in one scan: the
+     * duplicate check and the fill of the prefetch issue path.
+     * @return true if inserted, false if @p vpn was present (its
+     *         recency and ready time are left alone).
+     */
+    bool
+    insertIfAbsent(Vpn vpn, Tick ready_at = 0)
+    {
+        for (const Node &node : _nodes)
+            if (node.vpn == vpn)
+                return false;
+        fill(vpn, ready_at);
+        return true;
+    }
+
     void flush();
 
     std::uint32_t capacity() const { return _capacity; }
@@ -75,6 +91,18 @@ class PrefetchBuffer
         Vpn vpn;
         Tick readyAt;
     };
+
+    /** Insert absent @p vpn at MRU, evicting the LRU entry if full. */
+    void
+    fill(Vpn vpn, Tick ready_at)
+    {
+        if (_nodes.size() >= _capacity) {
+            _nodes.pop_back();
+            ++_evictedUnused;
+        }
+        _nodes.insert(_nodes.begin(), Node{vpn, ready_at});
+        ++_inserts;
+    }
 
     std::uint32_t _capacity;
     /**

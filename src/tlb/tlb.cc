@@ -1,6 +1,5 @@
 #include "tlb/tlb.hh"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "util/bits.hh"
@@ -12,35 +11,22 @@ namespace tlbpf
 namespace
 {
 
-/** Index slot sentinel for "no entry hashed here". */
-constexpr std::uint32_t kEmptySlot = UINT32_MAX;
-
-/** Entry-slot sentinel for "no slot" (list ends, cold hit cache). */
+/**
+ * Entry-slot sentinel for "no such entry" and a cold hit cache; the
+ * same value as WideSetIndex's.
+ */
 constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-/** Sets narrower than this are cheaper to scan than to hash. */
-constexpr std::uint32_t kIndexMinWays = 16;
-
-/** splitmix64 finalizer: strong enough that probes stay short. */
-inline std::uint64_t
-hashVpn(Vpn vpn)
-{
-    std::uint64_t x = vpn + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 } // namespace
 
 Tlb::Tlb(const TlbConfig &config)
-    : _config(config)
+    : _config(config),
+      _ways(config.assoc == 0 ? config.entries : config.assoc),
+      _wide(config.numSets(), _ways)
 {
     if (config.entries == 0)
         tlbpf_fatal("TLB needs at least one entry");
-    if (config.assoc == 0) {
-        _ways = config.entries;
-    } else {
+    if (config.assoc != 0) {
         if (config.entries % config.assoc != 0) {
             tlbpf_fatal("TLB entries (", config.entries,
                         ") must be a multiple of associativity (",
@@ -48,127 +34,8 @@ Tlb::Tlb(const TlbConfig &config)
         }
         if (!isPowerOfTwo(config.numSets()))
             tlbpf_fatal("number of TLB sets must be a power of two");
-        _ways = config.assoc;
     }
     _entries.resize(static_cast<std::size_t>(_config.numSets()) * _ways);
-    if (_ways >= kIndexMinWays) {
-        // Power-of-two capacity at least 4x the entry count keeps the
-        // load factor under 25%, so linear probes terminate quickly.
-        std::size_t cap = 64;
-        while (cap < static_cast<std::size_t>(_config.entries) * 4)
-            cap *= 2;
-        _index.assign(cap, kEmptySlot);
-        _lru.assign(_config.numSets(), SetLru{});
-    }
-}
-
-void
-Tlb::lruUnlink(std::uint32_t idx)
-{
-    SetLru &set = _lru[idx / _ways];
-    Entry &e = _entries[idx];
-    if (e.lruPrev != kNoSlot)
-        _entries[e.lruPrev].lruNext = e.lruNext;
-    else
-        set.head = e.lruNext;
-    if (e.lruNext != kNoSlot)
-        _entries[e.lruNext].lruPrev = e.lruPrev;
-    else
-        set.tail = e.lruPrev;
-    e.lruPrev = kNoSlot;
-    e.lruNext = kNoSlot;
-}
-
-void
-Tlb::lruPushFront(std::uint32_t idx)
-{
-    SetLru &set = _lru[idx / _ways];
-    Entry &e = _entries[idx];
-    e.lruPrev = kNoSlot;
-    e.lruNext = set.head;
-    if (set.head != kNoSlot)
-        _entries[set.head].lruPrev = idx;
-    set.head = idx;
-    if (set.tail == kNoSlot)
-        set.tail = idx;
-}
-
-void
-Tlb::rebuildLru()
-{
-    if (_lru.empty())
-        return;
-    std::fill(_lru.begin(), _lru.end(), SetLru{});
-    std::vector<std::uint32_t> order;
-    order.reserve(_entries.size());
-    for (std::uint32_t i = 0; i < _entries.size(); ++i) {
-        _entries[i].lruPrev = kNoSlot;
-        _entries[i].lruNext = kNoSlot;
-        if (_entries[i].valid)
-            order.push_back(i);
-    }
-    // Push in ascending use-clock order so each set's head ends up
-    // being its most recently used entry.
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return _entries[a].lastUse < _entries[b].lastUse;
-              });
-    for (std::uint32_t idx : order) {
-        lruPushFront(idx);
-        ++_lru[idx / _ways].resident;
-    }
-}
-
-void
-Tlb::indexInsert(Vpn vpn, std::uint32_t slot)
-{
-    std::size_t mask = _index.size() - 1;
-    std::size_t b = hashVpn(vpn) & mask;
-    while (_index[b] != kEmptySlot)
-        b = (b + 1) & mask;
-    _index[b] = slot;
-}
-
-void
-Tlb::indexErase(Vpn vpn)
-{
-    std::size_t mask = _index.size() - 1;
-    std::size_t b = hashVpn(vpn) & mask;
-    while (true) {
-        std::uint32_t slot = _index[b];
-        tlbpf_assert(slot != kEmptySlot,
-                     "TLB index missing VPN ", vpn, " on erase");
-        if (_entries[slot].vpn == vpn)
-            break;
-        b = (b + 1) & mask;
-    }
-    // Backward-shift deletion: walk the probe chain after the hole and
-    // rehome any element whose probe path crossed it, so lookups never
-    // need tombstones.
-    std::size_t hole = b;
-    std::size_t i = (b + 1) & mask;
-    while (_index[i] != kEmptySlot) {
-        std::size_t home = hashVpn(_entries[_index[i]].vpn) & mask;
-        if (((i - home) & mask) >= ((i - hole) & mask)) {
-            _index[hole] = _index[i];
-            hole = i;
-        }
-        i = (i + 1) & mask;
-    }
-    _index[hole] = kEmptySlot;
-}
-
-void
-Tlb::rebuildIndex()
-{
-    if (_index.empty())
-        return;
-    std::fill(_index.begin(), _index.end(), kEmptySlot);
-    for (std::size_t slot = 0; slot < _entries.size(); ++slot) {
-        if (_entries[slot].valid)
-            indexInsert(_entries[slot].vpn,
-                        static_cast<std::uint32_t>(slot));
-    }
 }
 
 std::size_t
@@ -177,33 +44,18 @@ Tlb::setIndex(Vpn vpn) const
     return (vpn & (_config.numSets() - 1)) * _ways;
 }
 
-Tlb::Entry *
-Tlb::findEntry(Vpn vpn)
+std::uint32_t
+Tlb::findSlot(Vpn vpn) const
 {
-    if (!_index.empty()) {
-        std::size_t mask = _index.size() - 1;
-        std::size_t b = hashVpn(vpn) & mask;
-        while (_index[b] != kEmptySlot) {
-            Entry &e = _entries[_index[b]];
-            if (e.vpn == vpn)
-                return &e;
-            b = (b + 1) & mask;
-        }
-        return nullptr;
-    }
+    if (_wide.enabled())
+        return _wide.find(_entries, vpn);
     std::size_t base = setIndex(vpn);
     for (std::size_t w = 0; w < _ways; ++w) {
-        Entry &e = _entries[base + w];
+        const Entry &e = _entries[base + w];
         if (e.valid && e.vpn == vpn)
-            return &e;
+            return static_cast<std::uint32_t>(base + w);
     }
-    return nullptr;
-}
-
-const Tlb::Entry *
-Tlb::findEntry(Vpn vpn) const
-{
-    return const_cast<Tlb *>(this)->findEntry(vpn);
+    return kNoSlot;
 }
 
 bool
@@ -219,24 +71,20 @@ Tlb::access(Vpn vpn)
             return true;
         }
     }
-    Entry *e = findEntry(vpn);
-    if (!e)
+    std::uint32_t slot = findSlot(vpn);
+    if (slot == kNoSlot)
         return false;
-    e->lastUse = ++_clock;
-    std::uint32_t idx =
-        static_cast<std::uint32_t>(e - _entries.data());
-    if (!_lru.empty()) {
-        lruUnlink(idx);
-        lruPushFront(idx);
-    }
-    _lastHit = idx;
+    _entries[slot].lastUse = ++_clock;
+    if (_wide.enabled())
+        _wide.touch(slot);
+    _lastHit = slot;
     return true;
 }
 
 bool
 Tlb::contains(Vpn vpn) const
 {
-    return findEntry(vpn) != nullptr;
+    return findSlot(vpn) != kNoSlot;
 }
 
 std::optional<Vpn>
@@ -244,74 +92,47 @@ Tlb::insert(Vpn vpn)
 {
     tlbpf_assert(!contains(vpn), "double insert of VPN ", vpn);
     std::size_t base = setIndex(vpn);
-    Entry *victim = nullptr;
-    if (!_lru.empty()) {
-        SetLru &set = _lru[base / _ways];
-        if (set.resident < _ways) {
-            // Free slots are consumed in way order, exactly like the
-            // scan below, so fills land in the same slots either way.
-            for (std::size_t w = 0; w < _ways; ++w) {
-                if (!_entries[base + w].valid) {
-                    victim = &_entries[base + w];
-                    break;
-                }
-            }
-        } else {
-            // The list tail is the unique minimum-clock entry: the
-            // same victim the scan would pick.
-            victim = &_entries[set.tail];
-        }
+    std::uint32_t slot = kNoSlot;
+    if (_wide.enabled()) {
+        slot = _wide.victim(_entries, base);
     } else {
         for (std::size_t w = 0; w < _ways; ++w) {
-            Entry &e = _entries[base + w];
+            const Entry &e = _entries[base + w];
             if (!e.valid) {
-                victim = &e;
+                slot = static_cast<std::uint32_t>(base + w);
                 break;
             }
-            if (!victim || e.lastUse < victim->lastUse)
-                victim = &e;
+            if (slot == kNoSlot || e.lastUse < _entries[slot].lastUse)
+                slot = static_cast<std::uint32_t>(base + w);
         }
     }
-    std::uint32_t idx =
-        static_cast<std::uint32_t>(victim - _entries.data());
+    Entry &victim = _entries[slot];
     std::optional<Vpn> evicted;
-    if (victim->valid) {
-        evicted = victim->vpn;
-        if (!_index.empty())
-            indexErase(victim->vpn);
-        if (!_lru.empty())
-            lruUnlink(idx);
+    if (victim.valid) {
+        evicted = victim.vpn;
+        if (_wide.enabled())
+            _wide.remove(_entries, slot);
     } else {
         ++_resident;
-        if (!_lru.empty())
-            ++_lru[base / _ways].resident;
     }
-    victim->vpn = vpn;
-    victim->valid = true;
-    victim->lastUse = ++_clock;
-    if (!_lru.empty())
-        lruPushFront(idx);
-    if (!_index.empty())
-        indexInsert(vpn, idx);
-    _lastHit = idx;
+    victim.vpn = vpn;
+    victim.valid = true;
+    victim.lastUse = ++_clock;
+    if (_wide.enabled())
+        _wide.add(vpn, slot);
+    _lastHit = slot;
     return evicted;
 }
 
 bool
 Tlb::invalidate(Vpn vpn)
 {
-    Entry *e = findEntry(vpn);
-    if (!e)
+    std::uint32_t slot = findSlot(vpn);
+    if (slot == kNoSlot)
         return false;
-    if (!_index.empty())
-        indexErase(vpn);
-    std::uint32_t idx =
-        static_cast<std::uint32_t>(e - _entries.data());
-    if (!_lru.empty()) {
-        lruUnlink(idx);
-        --_lru[idx / _ways].resident;
-    }
-    e->valid = false;
+    if (_wide.enabled())
+        _wide.remove(_entries, slot);
+    _entries[slot].valid = false;
     --_resident;
     return true;
 }
@@ -363,25 +184,20 @@ Tlb::restoreState(SnapshotReader &in)
             SnapshotReader::fail("duplicate TLB entry in checkpoint");
         ++_resident;
     }
-    rebuildIndex();
-    rebuildLru();
+    if (_wide.enabled())
+        _wide.rebuild(_entries);
     _lastHit = kNoSlot;
 }
 
 void
 Tlb::flush()
 {
-    for (Entry &e : _entries) {
+    for (Entry &e : _entries)
         e.valid = false;
-        e.lruPrev = kNoSlot;
-        e.lruNext = kNoSlot;
-    }
     _resident = 0;
     _lastHit = kNoSlot;
-    if (!_index.empty())
-        std::fill(_index.begin(), _index.end(), kEmptySlot);
-    if (!_lru.empty())
-        std::fill(_lru.begin(), _lru.end(), SetLru{});
+    if (_wide.enabled())
+        _wide.clear();
 }
 
 } // namespace tlbpf

@@ -34,6 +34,19 @@ ceilPowerOfTwo(std::uint64_t x)
 }
 
 /**
+ * splitmix64 finalizer, the hash of the simulator's open-addressing
+ * tables: strong enough that linear probes stay short.
+ */
+constexpr std::uint64_t
+hashKey(std::uint64_t key)
+{
+    std::uint64_t x = key + 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
  * ZigZag-encode a signed value into an unsigned one so that small
  * magnitudes (positive or negative) map to small codes.  Used to index
  * prediction tables by signed page distances.

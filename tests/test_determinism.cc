@@ -209,8 +209,9 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAreBitIdentical)
  * exact same bytes and (b) produce the exact same counters as the
  * uninterrupted run over the remaining references.  The spec list
  * covers every component with state: TLB + buffer + page table
- * (always), each prefetcher family, the recency stack, and the
- * hybrid composite's child-by-child serialization.
+ * (always), each prefetcher family, the recency stack, the hybrid
+ * composite's child-by-child serialization, and fully-associative
+ * tables, whose wide-set index restore must rebuild exactly.
  */
 TEST(Checkpoint, SnapshotRestoreRoundTripsPerMechanism)
 {
@@ -220,7 +221,8 @@ TEST(Checkpoint, SnapshotRestoreRoundTripsPerMechanism)
          {"none", "SP,1", "sp(degree=4)", "sp(adaptive)", "ASP,256,D",
           "mp(rows=64,assoc=2w)", "DP,256,D", "dp(rows=64,slots=4)",
           "rp", "rp(reach=2)", "hybrid(dp+sp)",
-          "hybrid(dp+rp+sp(adaptive))"}) {
+          "hybrid(dp+rp+sp(adaptive))", "MP,256,F", "DP,64,F",
+          "ASP,32,F"}) {
         MechanismSpec spec = MechanismSpec::parse(mech);
         SimConfig config;
         config.contextSwitchInterval = 7000; // cross a flush boundary

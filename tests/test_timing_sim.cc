@@ -10,6 +10,7 @@
 #include "sim/experiment.hh"
 #include "sim/timing_sim.hh"
 #include "trace/ref_stream.hh"
+#include "workload/app_registry.hh"
 
 namespace tlbpf
 {
@@ -203,6 +204,27 @@ TEST(TimingSim, PrefetchingSpeedsUpStridedApp)
     TimingResult base = runTimed("galgel", spec("none"), 150000);
     TimingResult dp = runTimed("galgel", spec("dp(rows=64)"), 150000);
     EXPECT_LT(dp.cycles, base.cycles);
+}
+
+TEST(TimingSim, BatchedRunMatchesPerReferenceLoop)
+{
+    // simulateTimed reads the stream in blocks; stepping the same
+    // references through process() one at a time must agree exactly.
+    const std::string &app = table3Apps().front();
+    constexpr std::uint64_t kRefs = 150000;
+    for (const char *mech : {"RP", "DP,256,D"}) {
+        auto batched_stream = buildApp(app, kRefs);
+        TimingResult batched = simulateTimed(
+            SimConfig{}, TimingConfig{}, spec(mech), *batched_stream);
+
+        auto stream = buildApp(app, kRefs);
+        TimingSimulator stepped(SimConfig{}, TimingConfig{}, spec(mech));
+        MemRef ref;
+        while (stream->next(ref))
+            stepped.process(ref);
+        EXPECT_TRUE(batched == stepped.result()) << app << " " << mech;
+        EXPECT_EQ(batched.functional.refs, kRefs) << mech;
+    }
 }
 
 } // namespace
