@@ -215,7 +215,7 @@ main(int argc, char **argv)
     auto time_sharded = [&](ShardWarmup warmup) {
         return best_of([&] {
             SweepResult merged = shard_serial.runSharded(
-                shard_cell, kShardFanout, warmup)[0];
+                expandShards(shard_cell, kShardFanout), warmup)[0];
             if (merged.functional.refs != unsharded.functional.refs ||
                 merged.functional.misses !=
                     unsharded.functional.misses ||

@@ -49,11 +49,9 @@ Dispatcher::unregisterWorker(std::uint64_t worker)
             ++it;
             continue;
         }
-        if (_batch) {
-            for (const Unit &unit : it->second.units)
-                _batch->queue.push_back(unit);
+        requeueLocked(it->second, false);
+        if (_batch)
             _batch->reclaims += 1;
-        }
         _counters.leaseReclaims += 1;
         it = _leases.erase(it);
     }
@@ -83,55 +81,50 @@ Dispatcher::lease(std::uint64_t worker, LeaseGrant &out)
     Clock::time_point now = Clock::now();
     reclaimExpiredLocked(now);
 
-    auto takeNext = [&](bool plainOnly) -> bool {
-        auto &queue = _batch->queue;
-        for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (!it->remoteable || (plainOnly && it->chain))
-                continue;
-            Unit unit = *it;
-            queue.erase(it);
-            LeaseState &state = _leases[out.lease];
-            state.units.push_back(unit);
-            state.jobCount += unit.count;
-            for (std::uint32_t k = 0; k < unit.count; ++k)
-                out.jobs.push_back(
-                    _batch->plan->jobs[unit.first + k]);
-            out.chain = unit.chain;
-            return true;
-        }
-        return false;
-    };
-
-    out.lease = _nextLease; // reserved; only consumed on a grant
+    // Take the first leasable unit.  A chain travels alone (it is one
+    // sequential task however many shards it spans); otherwise fill
+    // the block with further cells and groups up to the worker's own
+    // width, never splitting a group.
+    Batch &batch = *_batch;
+    std::size_t cap =
+        std::min<std::size_t>(wit->second, _options.maxLeaseCells);
+    LeaseState state;
     out.chain = false;
     out.jobs.clear();
-    if (!takeNext(/*plainOnly=*/false)) {
-        _leases.erase(out.lease);
+    for (auto it = batch.queue.begin(); it != batch.queue.end();) {
+        const SweepUnit &unit = batch.units[*it];
+        bool chain = unit.kind == SweepUnit::Kind::Chain;
+        bool fits = state.units.empty() ||
+                    (!chain && state.jobCount + unit.count <= cap);
+        if (batch.localOnly[*it] || !fits) {
+            ++it;
+            continue;
+        }
+        state.units.push_back(*it);
+        state.jobCount += unit.count;
+        out.jobs.insert(out.jobs.end(),
+                        batch.plan->jobs.begin() + unit.start,
+                        batch.plan->jobs.begin() + unit.start +
+                            unit.count);
+        out.chain = chain;
+        it = batch.queue.erase(it);
+        if (chain || state.jobCount >= cap)
+            break;
+    }
+    if (state.units.empty())
         return false;
-    }
-    if (!out.chain) {
-        // Fill the block with more plain cells, up to the worker's
-        // own width; a chain is always granted alone (it is one
-        // sequential task however many shards it spans).
-        std::size_t cap =
-            std::min<std::size_t>(wit->second, _options.maxLeaseCells);
-        while (out.jobs.size() < cap && takeNext(/*plainOnly=*/true))
-            ;
-    }
-    _nextLease += 1;
-    LeaseState &state = _leases[out.lease];
+    out.lease = _nextLease++;
     state.worker = worker;
     state.granted = now;
     state.deadline = now + leaseWindow(_options);
     _counters.leasesGranted += 1;
     // Grant-shape invariants: the payload the worker must send back
-    // is one result per job, so the recorded jobCount has to match
-    // what crossed the wire, and a chain is never block-filled.
-    TLBPF_DCHECK(!out.jobs.empty());
+    // is one result per job, and a chain is never block-filled.
     TLBPF_DCHECK_MSG(state.jobCount == out.jobs.size(),
                      "lease ", out.lease, " records ", state.jobCount,
                      " jobs but grants ", out.jobs.size());
     TLBPF_DCHECK(!out.chain || state.units.size() == 1);
+    _leases.emplace(out.lease, std::move(state));
     return true;
 }
 
@@ -140,7 +133,7 @@ Dispatcher::completeLease(std::uint64_t lease,
                           std::vector<SweepResult> results)
 {
     Batch *batch = nullptr;
-    std::vector<Unit> units;
+    std::vector<std::size_t> units;
     {
         std::lock_guard<std::mutex> lock(_mutex);
         auto it = _leases.find(lease);
@@ -163,23 +156,21 @@ Dispatcher::completeLease(std::uint64_t lease,
         _counters.cellsDispatched += results.size();
         _leases.erase(it);
     }
-    std::size_t offset = 0;
-    for (const Unit &unit : units) {
-        std::vector<SweepResult> slice(
-            std::make_move_iterator(results.begin() + offset),
-            std::make_move_iterator(results.begin() + offset +
-                                    unit.count));
-        offset += unit.count;
-        finishUnit(*batch, unit, std::move(slice));
-    }
     // The jobCount equality checked above guarantees the unit slices
-    // tile the payload exactly; a remainder would mean a unit was
-    // reclaimed out from under a live lease entry.
-    TLBPF_DCHECK_MSG(offset == results.size(),
-                     "lease ", lease, " units consumed ", offset,
-                     " of ", results.size(), " results");
+    // tile the payload exactly.  The state folds and emits outside
+    // _mutex, keeping the client-write path off the scheduler lock.
+    auto next = results.begin();
+    for (std::size_t u : units) {
+        const SweepUnit &unit = batch->units[u];
+        batch->state->complete(
+            unit, std::vector<SweepResult>(
+                      std::make_move_iterator(next),
+                      std::make_move_iterator(next + unit.count)));
+        next += unit.count;
+    }
     {
         std::lock_guard<std::mutex> lock(_mutex);
+        batch->unitsDone += units.size();
         batch->finishers -= 1;
     }
     // `batch` may be destroyed by runBatch() the moment the count
@@ -195,12 +186,7 @@ Dispatcher::failLease(std::uint64_t lease)
     auto it = _leases.find(lease);
     if (it == _leases.end())
         return;
-    if (_batch) {
-        for (Unit unit : it->second.units) {
-            unit.remoteable = false; // this work is local-only now
-            _batch->queue.push_back(unit);
-        }
-    }
+    requeueLocked(it->second, true);
     _counters.remoteFailures += 1;
     _leases.erase(it);
     _cv.notify_all();
@@ -230,6 +216,18 @@ Dispatcher::lastBatchStats() const
 }
 
 void
+Dispatcher::requeueLocked(const LeaseState &lease, bool local_only)
+{
+    if (!_batch)
+        return;
+    for (std::size_t u : lease.units) {
+        if (local_only)
+            _batch->localOnly[u] = 1;
+        _batch->queue.push_back(u);
+    }
+}
+
+void
 Dispatcher::reclaimExpiredLocked(Clock::time_point now)
 {
     for (auto it = _leases.begin(); it != _leases.end();) {
@@ -237,88 +235,24 @@ Dispatcher::reclaimExpiredLocked(Clock::time_point now)
             ++it;
             continue;
         }
-        if (_batch) {
-            for (const Unit &unit : it->second.units)
-                _batch->queue.push_back(unit);
+        requeueLocked(it->second, false);
+        if (_batch)
             _batch->reclaims += 1;
-        }
         _counters.leaseReclaims += 1;
         it = _leases.erase(it);
     }
 }
 
 void
-Dispatcher::finishUnit(Batch &batch, const Unit &unit,
-                       std::vector<SweepResult> results)
-{
-    // Fold the unit's shard windows into its pre-expansion cell via
-    // the engine's own reduce step, so a remotely-run chain merges
-    // byte-identically to runSharded().
-    TLBPF_DCHECK_MSG(unit.group < batch.merged.size(),
-                     "unit group ", unit.group, " outside a batch of ",
-                     batch.merged.size(), " groups");
-    TLBPF_DCHECK(unit.first + unit.count <= batch.plan->jobs.size());
-    ShardPlan sub;
-    sub.jobs.assign(batch.plan->jobs.begin() + unit.first,
-                    batch.plan->jobs.begin() + unit.first + unit.count);
-    sub.groupSizes = {unit.count};
-    std::vector<SweepResult> merged = mergeShardResults(sub, results);
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        // Every group resolves exactly once; overshooting means a
-        // reclaimed lease's result was integrated after the local
-        // re-run — double completion (the emitter would also catch
-        // the slot, but this names the lease machinery directly).
-        TLBPF_DCHECK_MSG(batch.groupsDone < batch.merged.size(),
-                         "group completion overshoots: ",
-                         batch.groupsDone + 1, " of ",
-                         batch.merged.size());
-        batch.merged[unit.group] = std::move(merged.front());
-        batch.groupsDone += 1;
-    }
-    // The emitter serializes delivery itself; calling it outside
-    // _mutex keeps the client-write path off the scheduler lock.
-    batch.emitter->complete(unit.group, 1);
-}
-
-void
-Dispatcher::runUnitLocal(Batch &batch, const Unit &unit)
-{
-    CheckpointHook *hook = _engine.checkpointHook();
-    std::vector<SweepResult> results(unit.count);
-    try {
-        // Chain units run their shards in stream order on this one
-        // thread, so shard k warms from the k-1 boundary state the
-        // hook just stored (or replays when checkpointing is off).
-        for (std::uint32_t k = 0; k < unit.count; ++k)
-            results[k] =
-                runSweepJob(batch.plan->jobs[unit.first + k], hook);
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            if (!batch.failed || unit.first < batch.failIndex) {
-                batch.failed = true;
-                batch.failIndex = unit.first;
-                batch.error = std::current_exception();
-            }
-            batch.groupsDone += 1; // resolved, albeit by failing
-        }
-        _cv.notify_all();
-        return;
-    }
-    finishUnit(batch, unit, std::move(results));
-    _cv.notify_all();
-}
-
-void
 Dispatcher::localDrain(Batch &batch)
 {
+    CheckpointHook *hook = _engine.checkpointHook();
     for (;;) {
-        Unit unit;
+        std::size_t unit;
         {
             std::unique_lock<std::mutex> lock(_mutex);
             for (;;) {
-                if (batch.groupsDone == batch.merged.size())
+                if (batch.unitsDone == batch.units.size())
                     return;
                 reclaimExpiredLocked(Clock::now());
                 if (!batch.queue.empty()) {
@@ -341,7 +275,12 @@ Dispatcher::localDrain(Batch &batch)
                                          std::chrono::milliseconds(1));
             }
         }
-        runUnitLocal(batch, unit);
+        batch.state->run(batch.units[unit], hook);
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            batch.unitsDone += 1; // resolved, possibly by failing
+        }
+        _cv.notify_all();
     }
 }
 
@@ -358,34 +297,21 @@ Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
                 "Dispatcher::runBatch is not reentrant");
         dispatch = !_workers.empty();
     }
-    if (!dispatch) {
-        // No fleet: the engine's own paths (including single-pass
-        // stream batching) are both faster and byte-identical, and
-        // they ARE the behaviour the 0-worker CI baseline captures.
-        if (plan.jobs.size() == plan.groupSizes.size())
-            return _engine.run(plan.jobs, mode, on_result);
-        return _engine.runSharded(plan, warmup, on_result);
-    }
+    if (!dispatch)
+        return _engine.runSharded(plan, warmup, on_result, mode);
 
     Batch batch;
     batch.plan = &plan;
-    batch.merged.resize(plan.groupSizes.size());
-    std::size_t first = 0;
-    for (std::size_t g = 0; g < plan.groupSizes.size(); ++g) {
-        Unit unit;
-        unit.group = g;
-        unit.first = first;
-        unit.count = plan.groupSizes[g];
-        unit.chain = unit.count > 1;
-        unit.remoteable = true;
-        for (std::uint32_t k = 0; k < unit.count; ++k)
-            if (plan.jobs[first + k].mode != JobMode::Functional)
-                unit.remoteable = false;
-        batch.queue.push_back(unit);
-        first += unit.count;
+    batch.units = planUnits(plan, warmup, mode);
+    BatchState state(plan, on_result);
+    batch.state = &state;
+    for (std::size_t u = 0; u < batch.units.size(); ++u) {
+        const SweepUnit &unit = batch.units[u];
+        batch.localOnly.push_back(
+            unit.kind == SweepUnit::Kind::Cell &&
+            plan.jobs[unit.start].mode != JobMode::Functional);
+        batch.queue.push_back(u);
     }
-    OrderedEmitter emitter(on_result, batch.merged);
-    batch.emitter = &emitter;
     batch.start = Clock::now();
 
     {
@@ -402,15 +328,15 @@ Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
         std::unique_lock<std::mutex> lock(_mutex);
         // The local drain loops are done, but a worker session may
         // still be inside completeLease() emitting its last results;
-        // the batch (and its emitter) must outlive that.
+        // the batch (and its state) must outlive that.
         _cv.wait(lock, [&] { return batch.finishers == 0; });
-        // Drain postcondition: every group resolved (completed or
-        // failed) and no unit left behind in the queue.
-        TLBPF_DCHECK_MSG(batch.groupsDone == batch.merged.size(),
-                         "batch drained with ", batch.groupsDone,
-                         " of ", batch.merged.size(),
-                         " groups resolved");
-        TLBPF_DCHECK(batch.queue.empty() || batch.failed);
+        // Drain postcondition: every unit resolved (completed or
+        // failed) and none left behind in the queue.
+        TLBPF_DCHECK_MSG(batch.unitsDone == batch.units.size(),
+                         "batch drained with ", batch.unitsDone,
+                         " of ", batch.units.size(),
+                         " units resolved");
+        TLBPF_DCHECK(batch.queue.empty());
         _batch = nullptr;
         // Any lease still out refers to units the batch already
         // resolved (its holder went quiet and was reclaimed past the
@@ -432,10 +358,7 @@ Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
         }
     }
     _cv.notify_all();
-
-    if (batch.failed)
-        std::rethrow_exception(batch.error);
-    return batch.merged;
+    return state.take();
 }
 
 } // namespace tlbpf

@@ -6,17 +6,16 @@
  * purely local run.
  *
  * Execution model.  One batch (a ShardPlan) is active at a time — the
- * server serializes sweeps across connections.  runBatch() turns the
- * plan's groups into work units (one unit per pre-expansion cell: a
- * singleton job, or the checkpoint-chained shards of one cell run in
- * stream order) and puts them in a shared queue.  Local drain loops —
- * one per engine pool thread — pull units from the back; worker
- * sessions lease units from the front (a block of up to
- * `worker threads` plain cells, or one chain).  Whoever completes a
- * unit folds its shard window counters into the pre-expansion cell
- * result (mergeShardResults) and marks the cell's slot in the shared
- * OrderedEmitter, so the client-facing stream arrives in submission
- * order no matter which side — or which machine — simulated a cell.
+ * server serializes sweeps across connections.  runBatch() cuts the
+ * plan with the engine's own planner (planUnits, under the request's
+ * warm-up and pass mode) and queues the units.  Local drain loops —
+ * one per engine pool thread — pull units from the back and run them
+ * with the engine's executor; worker sessions lease units from the
+ * front.  A chain is leased alone; cells and single-pass groups are
+ * block-filled up to the worker's width, a group never split.  Every
+ * completion, local or remote, lands in one BatchState, which folds
+ * shard windows and streams merged results in submission order no
+ * matter which side — or which machine — simulated a cell.
  *
  * Leases carry a deadline.  A worker refreshes its deadlines with
  * one-way heartbeats; a worker whose connection drops is reclaimed
@@ -31,9 +30,8 @@
  * windows depend only on (stream, geometry, mechanism), and slots
  * are pre-assigned — so the lease/reclaim interleaving can change
  * *who* computes a cell but never a byte of the ordered stream.
- * With no workers registered at batch start, runBatch() degrades to
- * the engine's own run()/runSharded() paths (including single-pass
- * batching), exactly the pre-dispatch server behaviour.
+ * With no workers registered at batch start, runBatch() is one
+ * SweepEngine::runSharded() call over the same units.
  *
  * Only functional cells are leased; timed cells always run locally
  * (their TimingConfig carries doubles the integer-exact wire format
@@ -154,20 +152,10 @@ class Dispatcher
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** One schedulable unit: a whole pre-expansion group. */
-    struct Unit
-    {
-        std::size_t group = 0; ///< index into plan.groupSizes
-        std::size_t first = 0; ///< first index into plan.jobs
-        std::uint32_t count = 1;
-        bool remoteable = false;
-        bool chain = false;
-    };
-
     struct LeaseState
     {
         std::uint64_t worker = 0;
-        std::vector<Unit> units;
+        std::vector<std::size_t> units; ///< indices into Batch::units
         std::size_t jobCount = 0;
         Clock::time_point granted;
         Clock::time_point deadline;
@@ -176,14 +164,12 @@ class Dispatcher
     struct Batch
     {
         const ShardPlan *plan = nullptr;
-        std::vector<SweepResult> merged; ///< one slot per group
-        std::deque<Unit> queue;
-        std::size_t groupsDone = 0;
+        BatchState *state = nullptr;
+        std::vector<SweepUnit> units;
+        std::vector<char> localOnly;   ///< per unit: timed or failed
+        std::deque<std::size_t> queue; ///< unit indices
+        std::size_t unitsDone = 0;
         std::size_t finishers = 0; ///< remote completions mid-emit
-        bool failed = false;
-        std::size_t failIndex = 0; ///< lowest failing plan-job index
-        std::exception_ptr error;
-        OrderedEmitter *emitter = nullptr;
         Clock::time_point start;
         std::uint64_t remoteCells = 0;
         std::uint64_t reclaims = 0;
@@ -191,10 +177,8 @@ class Dispatcher
     };
 
     void localDrain(Batch &batch);
-    void runUnitLocal(Batch &batch, const Unit &unit);
-    /** Fold a unit's per-shard results into its group slot + emit. */
-    void finishUnit(Batch &batch, const Unit &unit,
-                    std::vector<SweepResult> results);
+    /** Put @p lease's units back in the queue (under _mutex). */
+    void requeueLocked(const LeaseState &lease, bool local_only);
     /** Requeue every lease whose deadline passed (under _mutex). */
     void reclaimExpiredLocked(Clock::time_point now);
 

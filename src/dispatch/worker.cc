@@ -10,8 +10,6 @@
 #include <stdexcept>
 #include <sys/socket.h>
 #include <thread>
-#include <cstdio>
-#include <cstdlib>
 #include <unistd.h>
 
 namespace tlbpf
@@ -164,6 +162,16 @@ DispatchWorker::run()
     }
 }
 
+std::vector<SweepResult>
+DispatchWorker::runGrant(const LeaseGrant &grant)
+{
+    if (!grant.chain)
+        return _engine.run(grant.jobs, PassMode::SinglePass);
+    SweepUnit chain{SweepUnit::Kind::Chain, 0,
+                    static_cast<std::uint32_t>(grant.jobs.size())};
+    return runUnit(grant.jobs, chain, _engine.checkpointHook());
+}
+
 void
 DispatchWorker::session(int fd)
 {
@@ -198,7 +206,6 @@ DispatchWorker::session(int fd)
         }
         if (!readMessage(fd, message, type))
             throw TransportError("server closed the connection");
-        if (std::getenv("TLBPF_WIRE_TRACE")) std::fprintf(stderr, "[wrk] reply %s\n", type.c_str());
         if (type == "lease_idle") {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(_options.idlePollMs));
@@ -208,37 +215,23 @@ DispatchWorker::session(int fd)
             throw std::invalid_argument("expected a lease, got '" +
                                         type + "'");
         LeaseGrant grant = LeaseGrant::decode(message);
-        if (std::getenv("TLBPF_WIRE_TRACE")) std::fprintf(stderr, "[wrk] grant %llu: %zu jobs chain=%d\n", (unsigned long long)grant.lease, grant.jobs.size(), (int)grant.chain);
 
         CellResultMsg answer;
         answer.lease = grant.lease;
         try {
-            if (grant.chain) {
-                // Shards of one cell: sequential, in stream order,
-                // so each warms from the boundary the previous one
-                // just stored.
-                answer.results.reserve(grant.jobs.size());
-                for (const SweepJob &job : grant.jobs)
-                    answer.results.push_back(
-                        runSweepJob(job, _engine.checkpointHook()));
-            } else {
-                answer.results = _engine.run(grant.jobs);
-            }
+            answer.results = runGrant(grant);
         } catch (const std::exception &e) {
             // E.g. a trace file that only exists server-side: tell
             // the server so it requeues these cells local-only.
             answer.results.clear();
             answer.error = e.what();
         }
-        if (std::getenv("TLBPF_WIRE_TRACE")) std::fprintf(stderr, "[wrk] computed (%zu results, err='%s')\n", answer.results.size(), answer.error.c_str());
         {
             std::lock_guard<std::mutex> lock(write_mutex);
             writeFrame(fd, answer.encode());
         }
-        if (std::getenv("TLBPF_WIRE_TRACE")) std::fprintf(stderr, "[wrk] result sent, reading ack\n");
         if (!readMessage(fd, message, type))
             throw TransportError("server closed the connection");
-        if (std::getenv("TLBPF_WIRE_TRACE")) std::fprintf(stderr, "[wrk] ack read: %s\n", type.c_str());
         if (type != "result_ok")
             throw std::invalid_argument(
                 "expected a result acknowledgement, got '" + type +

@@ -8,14 +8,15 @@
  * merely busy; the main thread is the only frame *reader*, so replies
  * never interleave.
  *
- * Chains (the shards of one cell) run sequentially in grant order on
- * one thread, warming each shard from its predecessor's boundary
- * state via the worker's own CheckpointStore — pointed at the same
- * --cache-dir as the server's, it restores boundaries the server (or
- * an earlier worker) already deposited and deposits the ones it
- * crosses.  Plain-cell blocks fan out across the worker engine's
- * pool.  Either way the counters are the engine's own, so a leased
- * cell is bit-identical to a local one.
+ * A chain (the shards of one cell) runs through the engine's unit
+ * executor as one stream pass on one thread, each shard warmed in
+ * memory from its predecessor's end-of-window snapshot — so a chain
+ * costs ~1x its cell with or without a --cache-dir.  With a
+ * --cache-dir shared with the server, the worker's CheckpointStore
+ * also receives every boundary the chain crosses.  Plain blocks (cells
+ * and single-pass groups) run on the worker engine's pool in
+ * single-pass mode.  Either way the counters are the engine's own, so
+ * a leased cell is bit-identical to a local one.
  *
  * A cell the worker cannot run (e.g. a trace path that only exists on
  * the server's filesystem) is answered with a cell_result error frame
@@ -71,6 +72,14 @@ class DispatchWorker
      * the live socket, both signal-safe), so it pairs with SIGTERM.
      */
     void requestStop();
+
+    /**
+     * Compute one lease exactly as a session does: a chain through
+     * the engine's unit executor (one stream pass, warmed in memory),
+     * a plain block through the engine in single-pass mode.  Returns
+     * one result per granted job; throws when a job cannot run.
+     */
+    std::vector<SweepResult> runGrant(const LeaseGrant &grant);
 
     /** Cells whose results the server accepted. */
     std::uint64_t cellsCompleted() const { return _cells.load(); }

@@ -123,6 +123,8 @@ struct SweepResult
 
     double accuracy() const { return functional.accuracy(); }
     double missRate() const { return functional.missRate(); }
+
+    bool operator==(const SweepResult &other) const = default;
 };
 
 } // namespace tlbpf

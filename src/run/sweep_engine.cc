@@ -65,6 +65,22 @@ checkpointKey(const SweepJob &job, std::uint64_t pos)
     return key;
 }
 
+namespace
+{
+
+/** An empty result carrying @p job's labels. */
+SweepResult
+labelledResult(const SweepJob &job)
+{
+    SweepResult result;
+    result.mode = job.mode;
+    result.workload = job.workload.label();
+    result.mechanism = job.spec.label();
+    return result;
+}
+
+} // namespace
+
 SweepResult
 runSweepJob(const SweepJob &job)
 {
@@ -73,11 +89,7 @@ runSweepJob(const SweepJob &job)
             "sweep job for '" + job.workload.label() +
             "' needs a positive reference budget");
 
-    SweepResult result;
-    result.mode = job.mode;
-    result.workload = job.workload.label();
-    result.mechanism = job.spec.label();
-
+    SweepResult result = labelledResult(job);
     if (job.workload.sharded()) {
         if (job.mode != JobMode::Functional)
             throw std::invalid_argument(
@@ -151,6 +163,22 @@ foldGroup(const ShardPlan &plan, const std::vector<SweepResult> &results,
     return folded;
 }
 
+/** Throw unless @p plan's group sizes tile its jobs exactly. */
+void
+checkPlan(const ShardPlan &plan)
+{
+    std::size_t covered = 0;
+    for (std::uint32_t count : plan.groupSizes) {
+        if (count == 0 || count > plan.jobs.size() - covered)
+            throw std::invalid_argument(
+                "shard plan group sizes exceed the job batch");
+        covered += count;
+    }
+    if (covered != plan.jobs.size())
+        throw std::invalid_argument(
+            "shard plan group sizes do not cover the job batch");
+}
+
 } // namespace
 
 std::vector<SweepResult>
@@ -219,17 +247,10 @@ parseShardWarmup(const std::string &text)
 namespace
 {
 
-/** One checkpoint-schedule task: a chained group or a lone plan job. */
-struct ShardUnit
-{
-    std::size_t start = 0;   ///< first index into plan.jobs
-    std::uint32_t count = 1; ///< consecutive jobs in the chain
-};
-
 /**
  * Whether a cell's mechanism supports exact snapshot/restore.  Probes
  * a throwaway build (cheap: registry construction is microseconds) so
- * the scheduler can fall back to replay warm-up for open-registry
+ * the planner can fall back to replay warm-up for open-registry
  * mechanisms that never implemented the checkpoint hooks.
  */
 bool
@@ -266,9 +287,9 @@ skipRefs(RefStream &stream, std::uint64_t count)
  * pass where shard k's warm-up is the restore of shard k-1's
  * end-of-window snapshot.  Per-shard results are identical to what
  * replay-mode jobs would produce (same labels, same counter windows),
- * so the caller's merge step cannot tell the modes apart.  A non-null
- * @p hook additionally receives every window-boundary state the chain
- * passes through, so a persistent store warms future explicit-shard
+ * so the fold cannot tell the modes apart.  A non-null @p hook
+ * additionally receives every window-boundary state the chain passes
+ * through, so a persistent store warms future explicit-shard
  * requests for this cell.
  */
 std::vector<SweepResult>
@@ -277,7 +298,8 @@ runShardChain(const std::vector<SweepJob> &jobs, std::size_t start,
 {
     const SweepJob &first = jobs[start];
     auto stream = first.workload.base().build(first.refs);
-    std::vector<SweepResult> out(count);
+    std::vector<SweepResult> out;
+    out.reserve(count);
     SimState state;
     std::uint64_t pos = 0;
     for (std::uint32_t k = 0; k < count; ++k) {
@@ -289,13 +311,10 @@ runShardChain(const std::vector<SweepJob> &jobs, std::size_t start,
                 "starts at " +
                 std::to_string(begin) + ", stream is at " +
                 std::to_string(pos) + ")");
-        SweepResult &result = out[k];
-        result.mode = job.mode;
-        result.workload = job.workload.label();
-        result.mechanism = job.spec.label();
+        out.push_back(labelledResult(job));
         bool last = k + 1 == count;
         bool want_state = !last || hook;
-        result.functional = simulateWindowFrom(
+        out.back().functional = simulateWindowFrom(
             job.config, job.spec, *stream, k > 0 ? &state : nullptr,
             end - begin, want_state ? &state : nullptr);
         if (hook)
@@ -305,36 +324,27 @@ runShardChain(const std::vector<SweepJob> &jobs, std::size_t start,
     return out;
 }
 
-/**
- * The checkpoint-mode schedule for an expanded plan: each group
- * becomes one chained task; groups of one (timing cells, explicit
- * spec#k/N jobs) and groups whose mechanism cannot checkpoint
- * decompose into independent replay jobs.
- */
-std::vector<ShardUnit>
-buildShardUnits(const ShardPlan &plan)
+/** Run consecutive same-stream cells as one simulateMany pass. */
+std::vector<SweepResult>
+runPassGroup(const std::vector<SweepJob> &jobs, std::size_t start,
+             std::uint32_t count)
 {
-    std::vector<ShardUnit> units;
-    units.reserve(plan.groupSizes.size());
-    std::size_t start = 0;
-    for (std::uint32_t count : plan.groupSizes) {
-        if (count > 1 && mechanismCheckpointable(plan.jobs[start])) {
-            units.push_back(ShardUnit{start, count});
-        } else {
-            for (std::uint32_t k = 0; k < count; ++k)
-                units.push_back(ShardUnit{start + k, 1});
-        }
-        start += count;
+    const SweepJob &first = jobs[start];
+    std::vector<MechanismSpec> specs;
+    specs.reserve(count);
+    for (std::uint32_t k = 0; k < count; ++k)
+        specs.push_back(jobs[start + k].spec);
+    auto stream = first.workload.build(first.refs);
+    std::vector<SimResult> counters =
+        simulateMany(first.config, specs, *stream);
+    std::vector<SweepResult> out;
+    out.reserve(count);
+    for (std::uint32_t k = 0; k < count; ++k) {
+        out.push_back(labelledResult(jobs[start + k]));
+        out.back().functional = counters[k];
     }
-    return units;
+    return out;
 }
-
-/** One single-pass task: consecutive same-stream jobs (or a single). */
-struct PassUnit
-{
-    std::size_t start = 0;
-    std::size_t count = 1;
-};
 
 /** Whether a cell is eligible for single-pass batching at all. */
 bool
@@ -352,37 +362,78 @@ sameStream(const SweepJob &a, const SweepJob &b)
            a.config == b.config;
 }
 
-/**
- * Greedy grouping of consecutive same-stream cells.  Only adjacent
- * jobs group, so submission order — and therefore the result order
- * and the lowest-index error contract — is preserved trivially.
- */
-std::vector<PassUnit>
-buildPassUnits(const std::vector<SweepJob> &jobs)
+} // namespace
+
+std::vector<SweepUnit>
+planUnits(const ShardPlan &plan, ShardWarmup warmup, PassMode mode)
 {
-    std::vector<PassUnit> units;
-    std::size_t i = 0;
-    while (i < jobs.size()) {
-        std::size_t j = i + 1;
-        if (passBatchable(jobs[i])) {
-            while (j < jobs.size() && passBatchable(jobs[j]) &&
-                   sameStream(jobs[i], jobs[j]))
-                ++j;
+    checkPlan(plan);
+    const std::vector<SweepJob> &jobs = plan.jobs;
+    const std::vector<std::uint32_t> &sizes = plan.groupSizes;
+    std::vector<SweepUnit> units;
+    units.reserve(sizes.size());
+    std::size_t g = 0;
+    std::size_t start = 0;
+    while (g < sizes.size()) {
+        const SweepJob &first = jobs[start];
+        if (sizes[g] == 1) {
+            // Only adjacent cells group, so submission order — and
+            // with it the lowest-index error contract — is kept.
+            std::uint32_t width = 1;
+            if (mode == PassMode::SinglePass && passBatchable(first))
+                while (g + width < sizes.size() &&
+                       sizes[g + width] == 1 &&
+                       passBatchable(jobs[start + width]) &&
+                       sameStream(first, jobs[start + width]))
+                    ++width;
+            // A group drives `width` back-ends through one stream:
+            // cost ~ stream length x width.
+            units.push_back({width > 1 ? SweepUnit::Kind::Group
+                                       : SweepUnit::Kind::Cell,
+                             start, width, first.costWeight() * width});
+            g += width;
+            start += width;
+            continue;
         }
-        units.push_back(PassUnit{i, j - i});
-        i = j;
+        if (warmup == ShardWarmup::Checkpoint &&
+            mechanismCheckpointable(first)) {
+            // A chain simulates its cell's whole stream once, so it
+            // weighs the full budget — typically 10-50x the singles
+            // it shares a batch with.
+            units.push_back({SweepUnit::Kind::Chain, start, sizes[g],
+                             std::max<std::uint64_t>(first.refs, 1)});
+        } else {
+            for (std::uint32_t k = 0; k < sizes[g]; ++k)
+                units.push_back({SweepUnit::Kind::Cell, start + k, 1,
+                                 jobs[start + k].costWeight()});
+        }
+        start += sizes[g];
+        g += 1;
     }
     return units;
 }
 
-} // namespace
+std::vector<SweepResult>
+runUnit(const std::vector<SweepJob> &jobs, const SweepUnit &unit,
+        CheckpointHook *hook)
+{
+    switch (unit.kind) {
+    case SweepUnit::Kind::Chain:
+        return runShardChain(jobs, unit.start, unit.count, hook);
+    case SweepUnit::Kind::Group:
+        return runPassGroup(jobs, unit.start, unit.count);
+    case SweepUnit::Kind::Cell:
+        break;
+    }
+    std::vector<SweepResult> out;
+    out.push_back(runSweepJob(jobs[unit.start], hook));
+    return out;
+}
 
 std::size_t
 shardTaskCount(const ShardPlan &plan, ShardWarmup warmup)
 {
-    if (warmup == ShardWarmup::Replay)
-        return plan.jobs.size();
-    return buildShardUnits(plan).size();
+    return planUnits(plan, warmup, PassMode::PerMechanism).size();
 }
 
 SweepResult
@@ -394,10 +445,7 @@ runSweepJob(const SweepJob &job, CheckpointHook *hook)
         return runSweepJob(job);
 
     auto [begin, end] = job.workload.shardWindow(job.refs);
-    SweepResult result;
-    result.mode = job.mode;
-    result.workload = job.workload.label();
-    result.mechanism = job.spec.label();
+    SweepResult result = labelledResult(job);
 
     if (begin > 0) {
         SimState warm;
@@ -441,185 +489,117 @@ runSweepJob(const SweepJob &job, CheckpointHook *hook)
     return result;
 }
 
-namespace
+BatchState::BatchState(const ShardPlan &plan,
+                       const SweepEngine::ResultCallback &on_result)
+    : _plan(plan), _slots(plan.jobs.size()),
+      _merged(plan.groupSizes.size()), _groupOf(plan.jobs.size()),
+      _remaining(plan.groupSizes.size()), _emitter(on_result, _merged),
+      _failIndex(plan.jobs.size())
 {
-
-/** Per-job scheduler weights for a plain (one task = one job) run. */
-std::vector<std::uint64_t>
-jobWeights(const std::vector<SweepJob> &jobs)
-{
-    std::vector<std::uint64_t> weights;
-    weights.reserve(jobs.size());
-    for (const SweepJob &job : jobs)
-        weights.push_back(job.costWeight());
-    return weights;
+    checkPlan(plan);
+    _groupStart.reserve(plan.groupSizes.size() + 1);
+    std::size_t start = 0;
+    for (std::size_t g = 0; g < plan.groupSizes.size(); ++g) {
+        _groupStart.push_back(start);
+        _remaining[g].store(plan.groupSizes[g],
+                            std::memory_order_relaxed);
+        for (std::uint32_t k = 0; k < plan.groupSizes[g]; ++k)
+            _groupOf[start + k] = g;
+        start += plan.groupSizes[g];
+    }
+    _groupStart.push_back(start);
 }
 
-} // namespace
-
-std::vector<SweepResult>
-SweepEngine::run(const std::vector<SweepJob> &jobs)
+void
+BatchState::run(const SweepUnit &unit, CheckpointHook *hook)
 {
-    return run(jobs, PassMode::PerMechanism, ResultCallback());
+    std::vector<SweepResult> results;
+    try {
+        results = runUnit(_plan.jobs, unit, hook);
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(_failMutex);
+        if (!_error || unit.start < _failIndex) {
+            _failIndex = unit.start;
+            _error = std::current_exception();
+        }
+        return;
+    }
+    complete(unit, std::move(results));
+}
+
+void
+BatchState::complete(const SweepUnit &unit,
+                     std::vector<SweepResult> results)
+{
+    std::size_t end = unit.start + unit.count;
+    TLBPF_DCHECK_MSG(results.size() == unit.count &&
+                         end <= _slots.size(),
+                     "unit [", unit.start, ", ", end, ") returned ",
+                     results.size(), " results in a batch of ",
+                     _slots.size());
+    for (std::uint32_t k = 0; k < unit.count; ++k)
+        _slots[unit.start + k] = std::move(results[k]);
+    // Fold each group whose last job this unit supplied, on this
+    // thread, so merged results stream out while later units still
+    // run.  The groups completing here are always consecutive.
+    std::size_t first = 0;
+    std::size_t folded = 0;
+    for (std::size_t i = unit.start; i < end;) {
+        std::size_t g = _groupOf[i];
+        std::size_t stop = std::min(end, _groupStart[g + 1]);
+        auto n = static_cast<std::uint32_t>(stop - i);
+        // acq_rel orders every job's slot write before the fold.
+        std::uint32_t left =
+            _remaining[g].fetch_sub(n, std::memory_order_acq_rel);
+        TLBPF_DCHECK_MSG(left >= n, "group ", g, " completed twice");
+        if (left == n) {
+            std::size_t size = _groupStart[g + 1] - _groupStart[g];
+            _merged[g] = size == 1
+                             ? std::move(_slots[i])
+                             : foldGroup(_plan, _slots, _groupStart[g],
+                                         static_cast<std::uint32_t>(
+                                             size));
+            if (folded++ == 0)
+                first = g;
+        }
+        i = stop;
+    }
+    if (folded)
+        _emitter.complete(first, folded);
 }
 
 std::vector<SweepResult>
-SweepEngine::run(const std::vector<SweepJob> &jobs, PassMode mode)
+BatchState::take()
 {
-    return run(jobs, mode, ResultCallback());
+    if (_error)
+        std::rethrow_exception(_error);
+    return std::move(_merged);
 }
 
 std::vector<SweepResult>
 SweepEngine::run(const std::vector<SweepJob> &jobs, PassMode mode,
                  const ResultCallback &on_result)
 {
-    std::vector<SweepResult> results(jobs.size());
-    OrderedEmitter emitter(on_result, results);
-    CheckpointHook *hook = _checkpointHook;
-
-    if (mode == PassMode::PerMechanism) {
-        _pool.parallelForWeighted(jobWeights(jobs),
-                                  [&](std::size_t i) {
-                                      results[i] =
-                                          runSweepJob(jobs[i], hook);
-                                      emitter.complete(i, 1);
-                                  });
-        return results;
-    }
-
-    std::vector<PassUnit> units = buildPassUnits(jobs);
-    // A single-pass group drives its group-width simulators through
-    // one stream: cost ~ stream length x width.
-    std::vector<std::uint64_t> weights;
-    weights.reserve(units.size());
-    for (const PassUnit &unit : units)
-        weights.push_back(jobs[unit.start].costWeight() * unit.count);
-    _pool.parallelForWeighted(weights, [&](std::size_t u) {
-        const PassUnit &unit = units[u];
-        if (unit.count == 1) {
-            results[unit.start] =
-                runSweepJob(jobs[unit.start], hook);
-            emitter.complete(unit.start, 1);
-            return;
-        }
-        const SweepJob &first = jobs[unit.start];
-        std::vector<MechanismSpec> specs;
-        specs.reserve(unit.count);
-        for (std::size_t k = 0; k < unit.count; ++k)
-            specs.push_back(jobs[unit.start + k].spec);
-        auto stream = first.workload.build(first.refs);
-        std::vector<SimResult> counters =
-            simulateMany(first.config, specs, *stream);
-        for (std::size_t k = 0; k < unit.count; ++k) {
-            const SweepJob &job = jobs[unit.start + k];
-            SweepResult &result = results[unit.start + k];
-            result.mode = job.mode;
-            result.workload = job.workload.label();
-            result.mechanism = job.spec.label();
-            result.functional = counters[k];
-        }
-        emitter.complete(unit.start, unit.count);
-    });
-    return results;
-}
-
-std::vector<SweepResult>
-SweepEngine::runSharded(const std::vector<SweepJob> &jobs,
-                        std::uint32_t shards, ShardWarmup warmup)
-{
-    return runSharded(expandShards(jobs, shards), warmup);
-}
-
-std::vector<SweepResult>
-SweepEngine::runSharded(const ShardPlan &plan, ShardWarmup warmup)
-{
-    return runSharded(plan, warmup, ResultCallback());
+    ShardPlan plan;
+    plan.jobs = jobs;
+    plan.groupSizes.assign(jobs.size(), 1);
+    return runSharded(plan, ShardWarmup::Checkpoint, on_result, mode);
 }
 
 std::vector<SweepResult>
 SweepEngine::runSharded(const ShardPlan &plan, ShardWarmup warmup,
-                        const ResultCallback &on_result)
+                        const ResultCallback &on_result, PassMode mode)
 {
-    // Group geometry: where each pre-expansion cell's shard run
-    // starts, and which cell each plan job belongs to.
-    std::size_t ngroups = plan.groupSizes.size();
-    std::vector<std::size_t> groupStart(ngroups);
-    std::vector<std::size_t> groupOf(plan.jobs.size());
-    std::size_t covered = 0;
-    for (std::size_t g = 0; g < ngroups; ++g) {
-        groupStart[g] = covered;
-        if (covered + plan.groupSizes[g] > plan.jobs.size())
-            throw std::invalid_argument(
-                "shard plan group sizes exceed the job batch");
-        for (std::uint32_t k = 0; k < plan.groupSizes[g]; ++k)
-            groupOf[covered + k] = g;
-        covered += plan.groupSizes[g];
-    }
-    if (covered != plan.jobs.size())
-        throw std::invalid_argument(
-            "shard plan group sizes do not cover the job batch");
-
-    std::vector<SweepResult> results(plan.jobs.size());
-    std::vector<SweepResult> merged(ngroups);
-    OrderedEmitter emitter(on_result, merged);
-    // Fold a group eagerly (on whichever worker finishes its last
-    // shard) so merged results stream out while later cells still run.
-    // acq_rel on the countdown orders every shard's slot write before
-    // the fold that reads them.
-    std::vector<std::atomic<std::uint32_t>> remaining(ngroups);
-    for (std::size_t g = 0; g < ngroups; ++g)
-        remaining[g].store(plan.groupSizes[g],
-                           std::memory_order_relaxed);
-    auto finishJobs = [&](std::size_t start, std::uint32_t count) {
-        std::size_t g = groupOf[start];
-        if (remaining[g].fetch_sub(count,
-                                   std::memory_order_acq_rel) ==
-            count) {
-            merged[g] = foldGroup(plan, results, groupStart[g],
-                                  plan.groupSizes[g]);
-            emitter.complete(g, 1);
-        }
-    };
-    CheckpointHook *hook = _checkpointHook;
-
-    if (warmup == ShardWarmup::Replay) {
-        _pool.parallelForWeighted(
-            jobWeights(plan.jobs), [&](std::size_t i) {
-                results[i] = runSweepJob(plan.jobs[i], hook);
-                finishJobs(i, 1);
-            });
-        return merged;
-    }
-
-    std::vector<ShardUnit> units = buildShardUnits(plan);
-    // A checkpoint chain simulates its cell's whole stream exactly
-    // once, so its cost is the cell's full budget — typically 10-50x
-    // the replay singles and trivial cells it shares a batch with;
-    // the weight is what keeps such chains from landing on one
-    // worker's deque.
+    std::vector<SweepUnit> units = planUnits(plan, warmup, mode);
+    BatchState batch(plan, on_result);
     std::vector<std::uint64_t> weights;
     weights.reserve(units.size());
-    for (const ShardUnit &unit : units) {
-        const SweepJob &first = plan.jobs[unit.start];
-        weights.push_back(unit.count > 1 ? std::max<std::uint64_t>(
-                                               first.refs, 1)
-                                         : first.costWeight());
-    }
-    _pool.parallelForWeighted(weights, [&](std::size_t i) {
-        const ShardUnit &unit = units[i];
-        if (unit.count == 1) {
-            results[unit.start] =
-                runSweepJob(plan.jobs[unit.start], hook);
-            finishJobs(unit.start, 1);
-            return;
-        }
-        std::vector<SweepResult> chained =
-            runShardChain(plan.jobs, unit.start, unit.count, hook);
-        for (std::uint32_t k = 0; k < unit.count; ++k)
-            results[unit.start + k] = std::move(chained[k]);
-        finishJobs(unit.start, unit.count);
-    });
-    return merged;
+    for (const SweepUnit &unit : units)
+        weights.push_back(unit.weight);
+    CheckpointHook *hook = _checkpointHook;
+    _pool.parallelForWeighted(
+        weights, [&](std::size_t u) { batch.run(units[u], hook); });
+    return batch.take();
 }
 
 } // namespace tlbpf

@@ -1,63 +1,62 @@
 /**
  * @file
- * Deterministic multi-threaded executor for batches of SweepJobs.
+ * The one place that decides how a batch of SweepJobs executes: a
+ * planner, an executor and a batch state, shared by SweepEngine, the
+ * Dispatcher and the DispatchWorker.
  *
- * The engine's contract: results come back in *submission order* and
- * are bit-identical to a serial run regardless of thread count.  That
- * holds because every job owns its entire simulation state (stream,
- * TLB, buffer, prefetcher, RNG) and writes only to its own result
- * slot; threads share nothing mutable.  `--threads 1` constructs a
- * pool with no workers and runs the whole batch inline.
+ * A batch is a ShardPlan: jobs plus the grouping the reduce step
+ * folds (expandShards() fans a cell out into per-shard windows;
+ * singleton groups pass through).  planUnits() cuts the plan into
+ * units, each covering consecutive plan jobs:
  *
- * Scheduling: cells are submitted to the pool's work-stealing
- * scheduler (per-worker deques, randomized stealing) with a
- * per-task cost estimate — SweepJob::costWeight() scaled by the
- * task's shape (a checkpoint chain covers its whole cell once, a
- * single-pass group multiplies by its width) — so a batch that mixes
- * 50x shard chains with trivial cells starts from a balanced
- * longest-processing-time placement and stealing mops up the
- * estimate's error.  Neither the placement nor any steal
- * interleaving can change a result byte: workers still write only
- * their pre-assigned result slots and the lowest-submission-index
- * exception still wins.  lastBatchStats() exposes the pool's
- * per-worker utilization telemetry for the most recent batch.
+ *   Cell   one job, run by runSweepJob(job, hook).
+ *   Group  consecutive same-stream functional cells under
+ *          PassMode::SinglePass, one simulateMany pass.
+ *   Chain  one cell's shards under ShardWarmup::Checkpoint, shard k
+ *          warmed by restoring shard k-1's end-of-window snapshot.
+ *
+ * runUnit() executes a unit and returns one result per covered plan
+ * job.  BatchState owns the result slots: it folds each plan group
+ * the moment its last job lands, feeds the folded result to an
+ * OrderedEmitter, and keeps the lowest-index failure.  The engine runs
+ * the units on its pool; the dispatcher queues the very same units
+ * and leases them to remote workers, whose results go into the same
+ * BatchState.
+ *
+ * Determinism: every job owns its entire simulation state (stream,
+ * TLB, buffer, prefetcher, RNG) and writes only its own slot, so
+ * results are bit-identical to a serial run for any thread count,
+ * worker count, pass mode or warm-up mode.  Units are weighted for
+ * the pool's longest-processing-time placement (costWeight() x count
+ * for cells and groups, the whole budget for a chain); neither the
+ * placement nor any steal interleaving can change a result byte.
  *
  * A job that cannot run (zero reference budget, unknown application
  * model, unreadable trace file, malformed mix, a sharded timing cell)
- * throws std::invalid_argument; the engine propagates the
- * lowest-submission-index exception to the caller of run() after the
- * batch drains.  Workload resolution inside a worker never calls the
- * fatal-exit registry path, so a bad workload surfaces as a clean
- * batch failure, not a process exit from mid-pool.
+ * throws std::invalid_argument; the batch drains and the
+ * lowest-plan-index failure is rethrown.  Workload resolution inside
+ * a worker never calls the fatal-exit registry path.
  *
- * Sharding: expandShards() splits each functional cell into N
- * per-shard jobs (shard k records only its window of the counters),
- * and mergeShardResults() is the reduce step that folds the per-shard
- * counter deltas back into one result per original cell —
- * bit-identical to the unsharded run.  How a shard reconstructs the
- * simulator state at its window start is the warm-up mode:
+ * Warm-up of a sharded cell:
  *
  *   ShardWarmup::Replay      every shard simulates the whole prefix
  *                            [0, begin_k) itself.  Shards are fully
- *                            independent (best wall-clock on many
- *                            cores) but total CPU grows ~(N+1)/2x.
- *   ShardWarmup::Checkpoint  shard k restores shard k-1's
- *                            end-of-window SimState snapshot, so the
- *                            chain does ~1x total work plus snapshot
- *                            cost.  The chain serialises the shards
- *                            of one cell (different cells still run
- *                            concurrently); counters are bit-identical
- *                            to replay mode and to the unsharded run.
+ *                            independent, but total CPU grows
+ *                            ~(N+1)/2x.
+ *   ShardWarmup::Checkpoint  the shards run as one chain, ~1x total
+ *                            work plus snapshot cost; different cells
+ *                            still run concurrently.
  *
  * A mechanism that has not opted into checkpointing
- * (Prefetcher::checkpointable() == false) silently falls back to
- * replay warm-up for its cells, preserving correctness for
- * open-registry mechanisms that never implemented the hooks.
+ * (Prefetcher::checkpointable() == false) falls back to replay
+ * warm-up for its shards.
  */
 
 #ifndef TLBPF_RUN_SWEEP_ENGINE_HH
 #define TLBPF_RUN_SWEEP_ENGINE_HH
 
+#include <atomic>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -235,12 +234,49 @@ std::vector<SweepResult>
 mergeShardResults(const ShardPlan &plan,
                   const std::vector<SweepResult> &results);
 
+/** One schedulable task of a batch: plan.jobs[start, start + count). */
+struct SweepUnit
+{
+    enum class Kind
+    {
+        Cell,  ///< one plan job
+        Group, ///< consecutive same-stream cells, one simulateMany pass
+        Chain  ///< one cell's shards, chained through snapshots
+    };
+
+    Kind kind = Kind::Cell;
+    std::size_t start = 0;
+    std::uint32_t count = 1;
+    std::uint64_t weight = 1; ///< relative cost, for LPT placement
+};
+
 /**
- * Number of independently schedulable tasks runSharded() will create
- * for @p plan: the plan size under replay warm-up, one task per
- * chained group (plus the replay-fallback singles) under checkpoint
- * warm-up.  Callers sizing a worker pool can clamp to this instead of
- * over-provisioning threads that would only park.
+ * Cut @p plan into units, in plan order.  A group of shards becomes
+ * one Chain under ShardWarmup::Checkpoint when its mechanism can
+ * checkpoint, and independent Cells otherwise.  Under
+ * PassMode::SinglePass, runs of consecutive singleton groups whose
+ * functional, unsharded cells drain the same stream become one Group.
+ * Everything else is a Cell.  Throws std::invalid_argument when the
+ * group sizes do not tile plan.jobs.
+ */
+std::vector<SweepUnit> planUnits(const ShardPlan &plan,
+                                 ShardWarmup warmup, PassMode mode);
+
+/**
+ * Execute @p unit of a plan whose jobs are @p jobs and return one
+ * result per covered job, in plan order.  @p hook (may be null)
+ * warms explicit `spec#k/N` cells and receives every boundary state a
+ * chain passes through.
+ */
+std::vector<SweepResult> runUnit(const std::vector<SweepJob> &jobs,
+                                 const SweepUnit &unit,
+                                 CheckpointHook *hook);
+
+/**
+ * Number of independently schedulable tasks runSharded() creates for
+ * @p plan (planUnits() under per-mechanism grouping).  Callers sizing
+ * a pool can clamp to this instead of starting threads that would
+ * only park.
  */
 std::size_t shardTaskCount(const ShardPlan &plan, ShardWarmup warmup);
 
@@ -268,60 +304,29 @@ class SweepEngine
     unsigned threads() const { return _pool.threadCount(); }
 
     /**
-     * Run every job and return results in submission order.  Blocks
-     * until the batch drains; rethrows the lowest-index job failure.
-     */
-    std::vector<SweepResult> run(const std::vector<SweepJob> &jobs);
-
-    /**
-     * run() with an explicit pass mode.  PassMode::SinglePass batches
-     * consecutive same-stream functional cells into one stream pass
-     * each (see PassMode); results are bit-identical to
-     * PassMode::PerMechanism.
-     */
-    std::vector<SweepResult> run(const std::vector<SweepJob> &jobs,
-                                 PassMode mode);
-
-    /**
-     * run() that additionally streams each result through
-     * @p on_result in submission order as the batch progresses; the
-     * returned vector is unchanged.  An empty callback degrades to
-     * plain run().
-     */
-    std::vector<SweepResult> run(const std::vector<SweepJob> &jobs,
-                                 PassMode mode,
-                                 const ResultCallback &on_result);
-
-    /**
-     * Map-reduce over shards: expandShards -> execute -> merge;
-     * returns one merged result per entry of @p jobs, bit-identical
-     * to run() for any shard count and either warm-up mode.  Under
-     * ShardWarmup::Checkpoint (the default) each cell's shards run as
-     * one chained task — shard k warms up by restoring shard k-1's
-     * end-of-window snapshot — so the whole fan-out costs ~1x the
-     * unsharded work instead of replay's ~(N+1)/2x.
+     * Run every job and return results in submission order; blocks
+     * until the batch drains and rethrows the lowest-index failure.
+     * PassMode::SinglePass runs consecutive same-stream cells as one
+     * stream pass each, bit-identical to PassMode::PerMechanism.  A
+     * non-empty @p on_result additionally streams each result in
+     * submission order as the batch progresses.
      */
     std::vector<SweepResult>
-    runSharded(const std::vector<SweepJob> &jobs, std::uint32_t shards,
-               ShardWarmup warmup = ShardWarmup::Checkpoint);
+    run(const std::vector<SweepJob> &jobs,
+        PassMode mode = PassMode::PerMechanism,
+        const ResultCallback &on_result = {});
 
     /**
-     * runSharded() over a plan the caller already expanded (e.g. to
-     * size this engine's pool via shardTaskCount() without paying
-     * for a second expansion).
+     * Run @p plan and return one merged result per plan group,
+     * bit-identical to run() over the unexpanded jobs for any shard
+     * count, warm-up mode and pass mode.  @p on_result streams each
+     * merged result in group order as its last job completes.
      */
     std::vector<SweepResult>
     runSharded(const ShardPlan &plan,
-               ShardWarmup warmup = ShardWarmup::Checkpoint);
-
-    /**
-     * runSharded() that streams each *merged* (pre-expansion) result
-     * through @p on_result in pre-expansion submission order as its
-     * shard group completes; the returned vector is unchanged.
-     */
-    std::vector<SweepResult>
-    runSharded(const ShardPlan &plan, ShardWarmup warmup,
-               const ResultCallback &on_result);
+               ShardWarmup warmup = ShardWarmup::Checkpoint,
+               const ResultCallback &on_result = {},
+               PassMode mode = PassMode::PerMechanism);
 
     /**
      * Attach a persistent-checkpoint store consulted by every
@@ -367,10 +372,9 @@ class SweepEngine
  * happens-before the mutexed completion mark).  A slot whose task
  * failed is never marked, so delivery stalls just before the failing
  * index and the batch call's rethrow takes over — exactly the
- * documented ResultCallback contract.  Shared by the engine's batch
- * runners and the dispatch subsystem, whose remote completions flow
- * through the same frontier so a distributed batch streams in the
- * same order as a local one.
+ * documented ResultCallback contract.  BatchState feeds it from
+ * local and remote completions alike, so a distributed batch streams
+ * in the same order as a local one.
  */
 class OrderedEmitter
 {
@@ -422,6 +426,47 @@ class OrderedEmitter
     std::vector<char> _done;
     std::mutex _mutex;
     std::size_t _frontier = 0;
+};
+
+/**
+ * The shared state of one planned batch: one result slot per plan
+ * job, a per-group countdown that folds a group's shard windows
+ * (mergeShardResults' reduce) as soon as its last job lands, the
+ * ordered emitter fed with each folded result, and the
+ * lowest-plan-index failure.  Distinct units may complete
+ * concurrently from any thread; the plan and the callback must
+ * outlive the state.
+ */
+class BatchState
+{
+  public:
+    BatchState(const ShardPlan &plan,
+               const SweepEngine::ResultCallback &on_result);
+
+    /** runUnit(), then complete() — or record its failure. */
+    void run(const SweepUnit &unit, CheckpointHook *hook);
+
+    /** Store @p results, one per job of @p unit, and fold/emit. */
+    void complete(const SweepUnit &unit,
+                  std::vector<SweepResult> results);
+
+    /**
+     * After the batch drained: rethrow the lowest-index failure, or
+     * hand back one merged result per plan group.
+     */
+    std::vector<SweepResult> take();
+
+  private:
+    const ShardPlan &_plan;
+    std::vector<SweepResult> _slots;
+    std::vector<SweepResult> _merged;
+    std::vector<std::size_t> _groupStart; ///< + one past the end
+    std::vector<std::size_t> _groupOf;    ///< plan job -> group
+    std::vector<std::atomic<std::uint32_t>> _remaining;
+    OrderedEmitter _emitter;
+    std::mutex _failMutex;
+    std::size_t _failIndex = 0;
+    std::exception_ptr _error;
 };
 
 } // namespace tlbpf

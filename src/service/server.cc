@@ -363,9 +363,9 @@ SweepServer::handleSweep(int fd, const JsonValue &message)
             plan.jobs = pending;
             plan.groupSizes.assign(pending.size(), 1);
         }
-        // With no workers registered this is exactly the engine's
-        // own run()/runSharded() path; with workers, cells are
-        // leased out and reintegrated in the same stream order.
+        // One planner for both cases: with no workers this is the
+        // engine's own runSharded(); with workers, the same units
+        // are leased out and reintegrated in the same stream order.
         _dispatcher.runBatch(plan, request.shardWarmup,
                              request.passMode, on_result);
     }

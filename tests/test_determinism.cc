@@ -310,7 +310,7 @@ TEST(Checkpoint, ShardWarmupModesPreserveCsvBytes)
         for (unsigned threads : {1u, 4u})
             EXPECT_EQ(plain,
                       csvBytes(jobs, SweepEngine(threads).runSharded(
-                                         jobs, 8, warmup)))
+                                         expandShards(jobs, 8), warmup)))
                 << shardWarmupName(warmup) << " warm-up at "
                 << threads << " threads";
 }

@@ -5,7 +5,10 @@
  * failure (dead worker mid-lease, expired lease discarded without
  * double-counting, heartbeats keeping a slow-but-alive worker's work,
  * worker-side errors requeueing local-only, chains granted alone and
- * merged bit-identically), the server's worker sessions (malformed
+ * merged bit-identically, replay shards leased as plain cells, a
+ * mixed plan through an in-process worker against the serial oracle),
+ * a chain on a worker without a cache dir simulating each reference
+ * once, the server's worker sessions (malformed
  * cell_result drops only that worker; --max-clients sheds with an
  * error frame; concurrent clients account a shared cache exactly; a
  * worker fleet produces byte-identical sweeps), and the disk-store
@@ -29,6 +32,8 @@
 #include "dispatch/dispatch_protocol.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/worker.hh"
+#include "prefetch/mech_spec.hh"
+#include "prefetch/prefetcher.hh"
 #include "run/sweep_engine.hh"
 #include "service/client.hh"
 #include "service/json.hh"
@@ -156,6 +161,80 @@ leaseSoon(Dispatcher &dispatcher, std::uint64_t worker,
         std::this_thread::yield();
     }
     return false;
+}
+
+/** onMiss calls made by every "tcount" instance in this process. */
+std::atomic<std::uint64_t> gCountedMisses{0};
+
+/**
+ * A checkpointable mechanism that predicts nothing and counts its
+ * misses: its global total says how many references a batch actually
+ * simulated past the TLB, however the work was split.
+ */
+class MissCounter : public Prefetcher
+{
+  public:
+    void
+    onMiss(const TlbMiss &, PrefetchDecision &) override
+    {
+        gCountedMisses.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    void reset() override {}
+    std::string name() const override { return "TCOUNT"; }
+    std::string label() const override { return "tcount"; }
+    HardwareProfile hardwareProfile() const override { return {}; }
+    bool checkpointable() const override { return true; }
+    void snapshotState(SnapshotWriter &) const override {}
+    void restoreState(SnapshotReader &) override {}
+};
+
+/** Next-page prediction that never opts into checkpointing. */
+class NextPageNoCheckpoint : public Prefetcher
+{
+  public:
+    explicit NextPageNoCheckpoint(PageTable &pt) : _pt(pt) {}
+
+    void
+    onMiss(const TlbMiss &miss, PrefetchDecision &decision) override
+    {
+        _pt.lookup(miss.vpn + 1);
+        decision.targets.push_back(miss.vpn + 1);
+    }
+
+    void reset() override {}
+    std::string name() const override { return "TNOCKPT"; }
+    std::string label() const override { return "tnockpt"; }
+    HardwareProfile hardwareProfile() const override { return {}; }
+
+  private:
+    PageTable &_pt;
+};
+
+/** Register "tcount" and "tnockpt" once per process. */
+void
+registerTestMechanisms()
+{
+    static const bool registered = [] {
+        MechanismEntry count;
+        count.name = "tcount";
+        count.shortName = "TCOUNT";
+        count.summary = "miss counter, registered by test_dispatch";
+        count.build = [](const MechanismSpec &, PageTable &) {
+            return std::make_unique<MissCounter>();
+        };
+        MechanismRegistry::instance().add(count);
+        MechanismEntry next;
+        next.name = "tnockpt";
+        next.shortName = "TNOCKPT";
+        next.summary = "uncheckpointable next page, by test_dispatch";
+        next.build = [](const MechanismSpec &, PageTable &pt) {
+            return std::make_unique<NextPageNoCheckpoint>(pt);
+        };
+        MechanismRegistry::instance().add(next);
+        return true;
+    }();
+    (void)registered;
 }
 
 // --------------------------------------------------------- wire verbs
@@ -607,7 +686,7 @@ TEST(Dispatcher, ChainIsGrantedAloneAndMergesBitIdentically)
     std::vector<SweepResult> results;
     std::thread batch([&] {
         results = dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan, ShardWarmup::Checkpoint, PassMode::PerMechanism,
             [](std::size_t, const SweepResult &) {});
         batch_done.store(true);
     });
@@ -619,9 +698,9 @@ TEST(Dispatcher, ChainIsGrantedAloneAndMergesBitIdentically)
     EXPECT_TRUE(grant.chain);
     EXPECT_EQ(grant.jobs.size(), 4u);
 
-    // Run the shards sequentially (replay warm-up), like the worker
-    // binary does; the dispatcher folds the windows back into the
-    // pre-expansion cell.
+    // Each shard's window counters are the same however it warms up,
+    // so running them independently here must still merge into the
+    // pre-expansion cell exactly.
     std::vector<SweepResult> computed;
     for (const SweepJob &job : grant.jobs)
         computed.push_back(runSweepJob(job));
@@ -635,6 +714,147 @@ TEST(Dispatcher, ChainIsGrantedAloneAndMergesBitIdentically)
         EXPECT_EQ(results[i].functional, direct[i].functional)
             << "cell " << i;
     dispatcher.unregisterWorker(worker);
+}
+
+TEST(Dispatcher, ReplayShardsAreLeasedAsPlainCells)
+{
+    SweepEngine engine(1);
+    DispatcherOptions options;
+    options.leaseTimeoutMs = 60000;
+    Dispatcher dispatcher(engine, options);
+
+    std::vector<SweepJob> jobs =
+        functionalGrid({"gcc", "mcf"}, {"rp"}, kSlowRefs);
+    ShardPlan plan = expandShards(jobs, 4);
+
+    std::uint64_t worker = dispatcher.registerWorker(8);
+    std::atomic<bool> batch_done{false};
+    std::vector<SweepResult> results;
+    std::thread batch([&] {
+        results = dispatcher.runBatch(
+            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            [](std::size_t, const SweepResult &) {});
+        batch_done.store(true);
+    });
+
+    // Under replay warm-up every shard is an independent cell, so a
+    // wide worker gets a block of them, not a chain.
+    LeaseGrant grant;
+    ASSERT_TRUE(leaseSoon(dispatcher, worker, grant, batch_done));
+    EXPECT_FALSE(grant.chain);
+    EXPECT_GT(grant.jobs.size(), 1u);
+    for (const SweepJob &job : grant.jobs)
+        EXPECT_TRUE(job.workload.sharded()) << job.workload.label();
+
+    std::vector<SweepResult> computed;
+    for (const SweepJob &job : grant.jobs)
+        computed.push_back(runSweepJob(job));
+    EXPECT_TRUE(
+        dispatcher.completeLease(grant.lease, std::move(computed)));
+    batch.join();
+
+    std::vector<SweepResult> direct = engine.run(jobs);
+    ASSERT_EQ(results.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i)
+        EXPECT_TRUE(results[i] == direct[i]) << "cell " << i;
+    dispatcher.unregisterWorker(worker);
+}
+
+/**
+ * Differential test of the whole dispatch path against the serial
+ * engine: a plan mixing single-pass groups, 8-shard checkpoint
+ * chains, the shards of an uncheckpointable mechanism, a timed cell
+ * and an explicit `app#k/N` cell runs through runBatch with an
+ * in-process worker pulling leases, under both warm-ups and both
+ * pass modes.  Every merged SweepResult must equal the oracle's.
+ */
+TEST(Dispatcher, MixedPlanThroughAWorkerMatchesTheSerialOracle)
+{
+    registerTestMechanisms();
+    constexpr std::uint64_t refs = 60000;
+    std::vector<SweepJob> jobs;
+    ShardPlan plan;
+    auto add = [&](SweepJob job, std::uint32_t shards) {
+        ShardPlan part = expandShards({job}, shards);
+        plan.jobs.insert(plan.jobs.end(), part.jobs.begin(),
+                         part.jobs.end());
+        plan.groupSizes.insert(plan.groupSizes.end(),
+                               part.groupSizes.begin(),
+                               part.groupSizes.end());
+        jobs.push_back(std::move(job));
+    };
+    auto cell = [&](const char *workload, const char *mech) {
+        return SweepJob::functional(WorkloadSpec::parse(workload),
+                                    MechanismSpec::parse(mech), refs);
+    };
+    for (const char *mech : {"rp", "DP,256,D", "MP,256,D"})
+        add(cell("gcc", mech), 1);
+    for (const char *mech : {"DP,256,D", "ASP,256,D"})
+        add(cell("mcf", mech), 8);
+    add(cell("art", "tnockpt"), 8);
+    add(SweepJob::timed(WorkloadSpec::app("swim"),
+                        MechanismSpec::parse("DP,256,D"), refs),
+        1);
+    add(cell("gcc#2/4", "DP,256,D"), 1);
+    for (const char *mech : {"rp", "tnockpt"})
+        add(cell("vpr", mech), 1);
+    std::vector<SweepResult> oracle = SweepEngine(1).run(jobs);
+
+    SweepEngine engine(1);
+    DispatcherOptions options;
+    options.leaseTimeoutMs = 60000;
+    Dispatcher dispatcher(engine, options);
+    DispatchWorkerOptions worker_options;
+    worker_options.threads = 2;
+    DispatchWorker worker(worker_options);
+    std::uint64_t id = dispatcher.registerWorker(4);
+    std::atomic<bool> stop{false};
+    std::thread pulling([&] {
+        LeaseGrant grant;
+        while (!stop.load()) {
+            if (!dispatcher.lease(id, grant)) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(100));
+                continue;
+            }
+            try {
+                dispatcher.completeLease(grant.lease,
+                                         worker.runGrant(grant));
+            } catch (const std::exception &) {
+                dispatcher.failLease(grant.lease);
+            }
+        }
+    });
+
+    std::uint64_t remote = 0;
+    for (ShardWarmup warmup :
+         {ShardWarmup::Replay, ShardWarmup::Checkpoint}) {
+        for (PassMode mode :
+             {PassMode::PerMechanism, PassMode::SinglePass}) {
+            std::vector<std::size_t> order;
+            std::vector<SweepResult> results = dispatcher.runBatch(
+                plan, warmup, mode,
+                [&](std::size_t i, const SweepResult &) {
+                    order.push_back(i);
+                });
+            ASSERT_EQ(results.size(), oracle.size());
+            for (std::size_t i = 0; i < oracle.size(); ++i)
+                EXPECT_TRUE(results[i] == oracle[i])
+                    << "cell " << i << " (" << oracle[i].workload
+                    << ", " << oracle[i].mechanism << ") under "
+                    << shardWarmupName(warmup) << ", "
+                    << passModeName(mode);
+            ASSERT_EQ(order.size(), oracle.size());
+            for (std::size_t i = 0; i < order.size(); ++i)
+                EXPECT_EQ(order[i], i);
+            remote += dispatcher.lastBatchStats().remoteCells;
+        }
+    }
+    stop.store(true);
+    pulling.join();
+    dispatcher.unregisterWorker(id);
+    EXPECT_GT(remote, 0u); // the worker really carried cells
+    EXPECT_EQ(dispatcher.counters().remoteFailures, 0u);
 }
 
 // ------------------------------------------------ server worker verbs
@@ -846,6 +1066,64 @@ TEST(DispatchServer, WorkerFleetSweepIsByteIdenticalToLocal)
         EXPECT_EQ(fanned.results[i].mechanism,
                   plain.results[i].mechanism);
     }
+}
+
+/**
+ * A chain leased to a worker that has no --cache-dir must still warm
+ * each shard in memory from its predecessor: the batch simulates
+ * every reference once, exactly like the unsharded cells, instead of
+ * replaying each shard's prefix (~(N+1)/2x the work).
+ */
+TEST(DispatchServer, LeasedChainWithoutCacheDirSimulatesEachRefOnce)
+{
+    registerTestMechanisms();
+    SweepRequest request;
+    request.workloads = {"app:gcc", "app:mcf", "app:swim", "app:art"};
+    request.mechanisms = {"tcount"};
+    request.refs = 400000;
+    request.shards = 8;
+    request.shardWarmup = ShardWarmup::Checkpoint;
+
+    std::vector<SweepJob> cells =
+        SweepRequest::decode(JsonValue::parse(request.encode()))
+            .expand();
+    gCountedMisses.store(0);
+    std::vector<SweepResult> direct = SweepEngine(1).run(cells);
+    std::uint64_t unsharded = gCountedMisses.exchange(0);
+    ASSERT_GT(unsharded, 0u);
+
+    // Neither side has a store: no boundary state can come from disk.
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+    DispatchWorkerOptions worker_options;
+    worker_options.port = server.port();
+    worker_options.threads = 1;
+    worker_options.idlePollMs = 1;
+    DispatchWorker worker(worker_options);
+    std::thread pulling([&] { worker.run(); });
+    StatsReply stats;
+    for (int i = 0; i < 500 && stats.workers != 1; ++i) {
+        stats = ServiceClient("127.0.0.1", server.port()).stats();
+        ::usleep(5 * 1000);
+    }
+    ASSERT_EQ(stats.workers, 1u);
+
+    ServiceClient::SweepOutcome out =
+        ServiceClient("127.0.0.1", server.port()).sweep(request);
+    worker.requestStop();
+    pulling.join();
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+
+    EXPECT_GT(worker.cellsCompleted(), 0u); // a chain was leased
+    EXPECT_EQ(gCountedMisses.load(), unsharded);
+    ASSERT_EQ(out.results.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i)
+        EXPECT_EQ(out.results[i].functional, direct[i].functional)
+            << "cell " << i;
 }
 
 TEST(DispatchServer, WorkerVanishingMidLeaseNeverLosesTheBatch)

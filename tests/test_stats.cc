@@ -1,93 +1,16 @@
 /**
  * @file
- * Unit tests for the statistics package.
+ * Unit tests for the histogram package.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "stats/histogram.hh"
-#include "stats/stats.hh"
 
 namespace tlbpf
 {
 namespace
 {
-
-TEST(Counter, IncrementAndAdd)
-{
-    StatRegistry reg;
-    Counter &c = reg.counter("hits", "hit count");
-    ++c;
-    c += 10;
-    EXPECT_EQ(c.count(), 11u);
-    EXPECT_DOUBLE_EQ(c.value(), 11.0);
-}
-
-TEST(Average, ComputesMean)
-{
-    StatRegistry reg;
-    Average &a = reg.average("lat", "latency");
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    a.sample(10);
-    a.sample(20);
-    a.sample(30);
-    EXPECT_DOUBLE_EQ(a.value(), 20.0);
-    EXPECT_EQ(a.samples(), 3u);
-}
-
-TEST(Ratio, DividesAndHandlesZeroDenominator)
-{
-    StatRegistry reg;
-    Counter &n = reg.counter("n", "numer");
-    Counter &d = reg.counter("d", "denom");
-    Ratio &r = reg.ratio("r", "ratio", n, d);
-    EXPECT_DOUBLE_EQ(r.value(), 0.0); // no division by zero
-    n += 3;
-    d += 4;
-    EXPECT_DOUBLE_EQ(r.value(), 0.75);
-}
-
-TEST(Registry, ResetAllClearsCounters)
-{
-    StatRegistry reg;
-    Counter &c = reg.counter("c", "");
-    Average &a = reg.average("a", "");
-    c += 5;
-    a.sample(1.0);
-    reg.resetAll();
-    EXPECT_EQ(c.count(), 0u);
-    EXPECT_EQ(a.samples(), 0u);
-}
-
-TEST(Registry, DumpInRegistrationOrder)
-{
-    StatRegistry reg;
-    reg.counter("zeta", "last letter");
-    reg.counter("alpha", "first letter");
-    std::ostringstream oss;
-    reg.dump(oss);
-    std::string out = oss.str();
-    EXPECT_LT(out.find("zeta"), out.find("alpha"));
-    EXPECT_NE(out.find("# last letter"), std::string::npos);
-}
-
-TEST(Registry, FindByName)
-{
-    StatRegistry reg;
-    reg.counter("x", "");
-    EXPECT_NE(reg.find("x"), nullptr);
-    EXPECT_EQ(reg.find("y"), nullptr);
-    EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(Registry, DuplicateNamePanics)
-{
-    StatRegistry reg;
-    reg.counter("dup", "");
-    EXPECT_DEATH(reg.counter("dup", ""), "duplicate stat");
-}
 
 TEST(SparseHistogram, CountsAndTotal)
 {

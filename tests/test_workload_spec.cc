@@ -355,7 +355,8 @@ TEST(WorkloadSpecShard, ExpandShardsClampsFanoutToRefs)
         for (ShardWarmup warmup :
              {ShardWarmup::Replay, ShardWarmup::Checkpoint}) {
             std::vector<SweepResult> merged =
-                SweepEngine(2).runSharded({job}, shards, warmup);
+                SweepEngine(2).runSharded(
+                    expandShards({job}, shards), warmup);
             ASSERT_EQ(merged.size(), 1u);
             EXPECT_EQ(counters(merged[0].functional),
                       counters(unsharded.functional))
@@ -371,7 +372,8 @@ TEST(WorkloadSpecShard, ExpandShardsClampsFanoutToRefs)
     for (ShardWarmup warmup :
          {ShardWarmup::Replay, ShardWarmup::Checkpoint}) {
         std::vector<SweepResult> merged =
-            SweepEngine(2).runSharded({prime}, 8, warmup);
+            SweepEngine(2).runSharded(expandShards({prime}, 8),
+                                      warmup);
         ASSERT_EQ(merged.size(), 1u);
         EXPECT_EQ(counters(merged[0].functional),
                   counters(unsharded.functional))
@@ -416,7 +418,7 @@ TEST(WorkloadSpecShard, EngineRunShardedMatchesPlainRun)
     };
     SweepEngine engine(4);
     std::vector<SweepResult> plain = engine.run(jobs);
-    std::vector<SweepResult> sharded = engine.runSharded(jobs, 4);
+    std::vector<SweepResult> sharded = engine.runSharded(expandShards(jobs, 4));
     ASSERT_EQ(sharded.size(), plain.size());
     for (std::size_t i = 0; i < plain.size(); ++i)
         EXPECT_EQ(counters(sharded[i].functional),
