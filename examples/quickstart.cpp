@@ -61,8 +61,8 @@ main(int argc, char **argv)
                     with_dp.pbEvictedUnused));
 
     // And the cycle view (Table 3 methodology).
-    TimingResult t_base = runTimed(app, none, refs);
-    TimingResult t_dp = runTimed(app, dp, refs);
+    TimingResult t_base = runTimed(WorkloadSpec::parse(app), none, refs);
+    TimingResult t_dp = runTimed(WorkloadSpec::parse(app), dp, refs);
     std::printf("normalised cycles with DP: %.3f\n",
                 static_cast<double>(t_dp.cycles) /
                     static_cast<double>(t_base.cycles));

@@ -262,27 +262,6 @@ mechanismCheckpointable(const SweepJob &job)
 }
 
 /**
- * Fast-forward @p stream by @p count references without simulating
- * them (the references land in a scratch buffer and are dropped).
- * Used when a persisted checkpoint replaces the prefix *simulation*:
- * the stream still has to be advanced to the window start.
- */
-void
-skipRefs(RefStream &stream, std::uint64_t count)
-{
-    std::vector<MemRef> scratch(
-        std::min<std::uint64_t>(count, kSimBatchRefs));
-    while (count > 0) {
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(count, scratch.size()));
-        std::size_t got = stream.nextBatch(scratch.data(), want);
-        if (got == 0)
-            return; // stream shorter than the prefix; window is empty
-        count -= got;
-    }
-}
-
-/**
  * Execute one cell's shards as a checkpoint chain: a single stream
  * pass where shard k's warm-up is the restore of shard k-1's
  * end-of-window snapshot.  Per-shard results are identical to what

@@ -89,23 +89,6 @@ runTimed(const WorkloadSpec &workload, const MechanismSpec &spec,
         .timed;
 }
 
-SimResult
-runFunctional(const std::string &workload, const MechanismSpec &spec,
-              std::uint64_t refs, const SimConfig &config)
-{
-    return runFunctional(parseWorkloadOrDie(workload), spec, refs,
-                         config);
-}
-
-TimingResult
-runTimed(const std::string &workload, const MechanismSpec &spec,
-         std::uint64_t refs, const SimConfig &config,
-         const TimingConfig &timing)
-{
-    return runTimed(parseWorkloadOrDie(workload), spec, refs, config,
-                    timing);
-}
-
 std::vector<AccuracyCell>
 accuracySweep(const WorkloadSpec &workload,
               const std::vector<MechanismSpec> &specs,
@@ -135,16 +118,6 @@ accuracySweep(const WorkloadSpec &workload,
                                      results[i].accuracy(),
                                      results[i].missRate()});
     return cells;
-}
-
-std::vector<AccuracyCell>
-accuracySweep(const std::string &workload,
-              const std::vector<MechanismSpec> &specs,
-              std::uint64_t refs, const SimConfig &config,
-              unsigned threads)
-{
-    return accuracySweep(parseWorkloadOrDie(workload), specs, refs,
-                         config, threads);
 }
 
 } // namespace tlbpf

@@ -45,19 +45,6 @@ TimingResult runTimed(const WorkloadSpec &workload,
                       const SimConfig &config = SimConfig{},
                       const TimingConfig &timing = TimingConfig{});
 
-/**
- * String sugar for the entry points above: the text is parsed as a
- * WorkloadSpec (a bare name denotes a registry app; trace:/mix:/#k/N
- * all work), with a parse error producing the documented fatal exit.
- */
-SimResult runFunctional(const std::string &workload,
-                        const MechanismSpec &spec, std::uint64_t refs,
-                        const SimConfig &config = SimConfig{});
-TimingResult runTimed(const std::string &workload,
-                      const MechanismSpec &spec, std::uint64_t refs,
-                      const SimConfig &config = SimConfig{},
-                      const TimingConfig &timing = TimingConfig{});
-
 /** A (mechanism label, accuracy) cell for figure-style output. */
 struct AccuracyCell
 {
@@ -74,14 +61,6 @@ struct AccuracyCell
  */
 std::vector<AccuracyCell>
 accuracySweep(const WorkloadSpec &workload,
-              const std::vector<MechanismSpec> &specs,
-              std::uint64_t refs,
-              const SimConfig &config = SimConfig{},
-              unsigned threads = 1);
-
-/** String sugar; see runFunctional(const std::string&, ...). */
-std::vector<AccuracyCell>
-accuracySweep(const std::string &workload,
               const std::vector<MechanismSpec> &specs,
               std::uint64_t refs,
               const SimConfig &config = SimConfig{},

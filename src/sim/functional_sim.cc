@@ -4,7 +4,6 @@
 #include <deque>
 #include <stdexcept>
 
-#include "util/bits.hh"
 #include "util/check.hh"
 
 namespace tlbpf
@@ -13,23 +12,64 @@ namespace tlbpf
 namespace
 {
 
-/** log2(@p page_bytes) when it is a power of two, else UINT32_MAX. */
-std::uint32_t
-pageShiftOf(std::uint64_t page_bytes)
+/** A context switch falls before reference @p refs (0-based). */
+inline bool
+switchDue(const SimConfig &config, std::uint64_t refs)
 {
-    return isPowerOfTwo(page_bytes) ? floorLog2(page_bytes)
-                                    : UINT32_MAX;
+    return config.contextSwitchInterval && refs > 0 &&
+           refs % config.contextSwitchInterval == 0;
 }
 
-/** Page of @p ref under pageShiftOf(@p page_bytes) == @p shift. */
-inline Vpn
-pageNumber(const MemRef &ref, std::uint32_t shift,
-           std::uint64_t page_bytes)
+/**
+ * Pull up to @p max_refs references from @p stream and hand them to
+ * @p run(vpn, pc, count); @p done references were simulated before.
+ * Runs come from nextRuns() with each call's budget cut at the next
+ * context switch, so no run crosses one and the reference after a
+ * flush starts a run that carries its own PC.  With @p per_ref every
+ * reference is its own run, pulled with nextBatch(): a mechanism that
+ * trains on hits needs every reference's PC.  Returns the references
+ * fed, fewer than @p max_refs only at end of stream.
+ */
+template <typename RunFn>
+std::uint64_t
+drainStream(RefStream &stream, const SimConfig &config, bool per_ref,
+            std::uint64_t done, std::uint64_t max_refs, RunFn &&run)
 {
-    // The paper's page sizes are powers of two, so the hot path is a
-    // shift; the division is kept for exotic configs.
-    return shift != UINT32_MAX ? ref.vaddr >> shift
-                               : ref.vpn(page_bytes);
+    std::uint64_t fed = 0;
+    if (per_ref) {
+        const std::uint32_t shift = pageShiftOf(config.pageBytes);
+        std::vector<MemRef> block(kSimBatchRefs);
+        while (fed < max_refs) {
+            std::size_t want = static_cast<std::size_t>(
+                std::min<std::uint64_t>(max_refs - fed, block.size()));
+            std::size_t got = stream.nextBatch(block.data(), want);
+            for (std::size_t i = 0; i < got; ++i)
+                run(pageNumber(block[i].vaddr, shift, config.pageBytes),
+                    block[i].pc, 1);
+            fed += got;
+            if (got < want)
+                break;
+        }
+        return fed;
+    }
+    const std::uint64_t interval = config.contextSwitchInterval;
+    std::vector<PageRun> runs(kSimBatchRuns);
+    while (fed < max_refs) {
+        std::uint64_t want = max_refs - fed;
+        if (interval)
+            want = std::min(want, interval - (done + fed) % interval);
+        std::size_t got = stream.nextRuns(runs.data(), runs.size(),
+                                          config.pageBytes, want);
+        std::uint64_t refs = 0;
+        for (std::size_t i = 0; i < got; ++i) {
+            run(runs[i].vpn, runs[i].pc, runs[i].count);
+            refs += runs[i].count;
+        }
+        fed += refs;
+        if (got < runs.size() && refs < want)
+            break; // short of both budgets: end of stream
+    }
+    return fed;
 }
 
 /**
@@ -76,33 +116,34 @@ FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
 {
 }
 
-Vpn
-FunctionalSimulator::pageOf(const MemRef &ref) const
-{
-    return pageNumber(ref, _pageShift, _config.pageBytes);
-}
-
 void
 FunctionalSimulator::process(const MemRef &ref)
 {
-    if (_config.contextSwitchInterval &&
-        _result.refs > 0 &&
-        _result.refs % _config.contextSwitchInterval == 0) {
+    processRun(pageNumber(ref.vaddr, _pageShift, _config.pageBytes),
+               ref.pc, 1);
+}
+
+void
+FunctionalSimulator::processRun(Vpn vpn, Addr pc, std::uint64_t count)
+{
+    TLBPF_DCHECK_MSG(count == 1 || !_trainsOnHits,
+                     "a hit-training mechanism takes one reference "
+                     "per run, got ", count);
+    if (switchDue(_config, _result.refs)) {
         _tlb.flush();
         _buffer.flush();
         if (_prefetcher)
             _prefetcher->reset();
         ++_result.contextSwitches;
     }
-    ++_result.refs;
-    Vpn vpn = pageOf(ref);
+    _result.refs += count;
 
-    if (_tlb.access(vpn)) {
+    if (_tlb.access(vpn, count)) {
         // Ablation mode: the prefetcher observes hits as well (it sits
         // on the reference stream rather than the miss stream).
         if (_trainsOnHits) {
             _decision.clear();
-            TlbMiss observed{vpn, ref.pc, false, kNoPage};
+            TlbMiss observed{vpn, pc, false, kNoPage};
             _prefetcher->onMiss(observed, _decision);
             issuePrefetches(_decision.targets, vpn, _tlb, _buffer,
                             _result);
@@ -122,14 +163,26 @@ FunctionalSimulator::process(const MemRef &ref)
 
     std::optional<Vpn> evicted = _tlb.insert(vpn);
 
-    if (!_prefetcher)
-        return;
+    if (_prefetcher) {
+        _decision.clear();
+        TlbMiss miss{vpn, pc, pb_hit, evicted.value_or(kNoPage)};
+        _prefetcher->onMiss(miss, _decision);
+        _result.stateOps += _decision.stateOps;
+        issuePrefetches(_decision.targets, vpn, _tlb, _buffer, _result);
+    }
+    // The rest of the run hits the page just installed.
+    if (count > 1)
+        _tlb.access(vpn, count - 1);
+}
 
-    _decision.clear();
-    TlbMiss miss{vpn, ref.pc, pb_hit, evicted.value_or(kNoPage)};
-    _prefetcher->onMiss(miss, _decision);
-    _result.stateOps += _decision.stateOps;
-    issuePrefetches(_decision.targets, vpn, _tlb, _buffer, _result);
+std::uint64_t
+FunctionalSimulator::feed(RefStream &stream, std::uint64_t max_refs)
+{
+    return drainStream(stream, _config, _trainsOnHits, _result.refs,
+                       max_refs,
+                       [this](Vpn vpn, Addr pc, std::uint64_t count) {
+                           processRun(vpn, pc, count);
+                       });
 }
 
 const SimResult &
@@ -272,12 +325,7 @@ simulate(const SimConfig &config, const MechanismSpec &spec,
          RefStream &stream)
 {
     FunctionalSimulator sim(config, spec);
-    std::vector<MemRef> block(kSimBatchRefs);
-    std::size_t got;
-    while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
-        for (std::size_t i = 0; i < got; ++i)
-            sim.process(block[i]);
-    }
+    sim.feed(stream, UINT64_MAX);
     return sim.result();
 }
 
@@ -388,29 +436,26 @@ simulateMany(const SimConfig &config,
             hit_trainers.push_back(&back);
     }
 
-    const std::uint32_t shift = pageShiftOf(config.pageBytes);
     Tlb tlb(config.tlb);
     PageTable pt;
     SimResult shared;
-    std::vector<MemRef> block(kSimBatchRefs);
-    std::size_t got;
-    while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
-        for (std::size_t i = 0; i < got; ++i) {
-            const MemRef &ref = block[i];
-            if (config.contextSwitchInterval && shared.refs > 0 &&
-                shared.refs % config.contextSwitchInterval == 0) {
+    // Page runs unless a back-end trains on hits: it needs every
+    // reference's PC, so the front-end then runs per reference.
+    drainStream(
+        stream, config, !hit_trainers.empty(), 0, UINT64_MAX,
+        [&](Vpn vpn, Addr pc, std::uint64_t count) {
+            if (switchDue(config, shared.refs)) {
                 tlb.flush();
                 for (MissBackEnd &back : backs)
                     back.flush();
                 ++shared.contextSwitches;
             }
-            ++shared.refs;
-            Vpn vpn = pageNumber(ref, shift, config.pageBytes);
+            shared.refs += count;
 
-            if (tlb.access(vpn)) {
+            if (tlb.access(vpn, count)) {
                 for (MissBackEnd *back : hit_trainers)
-                    back->onHit(vpn, ref.pc, tlb);
-                continue;
+                    back->onHit(vpn, pc, tlb);
+                return;
             }
 
             ++shared.misses;
@@ -419,9 +464,11 @@ simulateMany(const SimConfig &config,
             // Lockstep: every back-end handles this miss against the
             // exact shared TLB before the next reference probes it.
             for (MissBackEnd &back : backs)
-                back.onMiss(vpn, ref.pc, evicted, tlb);
-        }
-    }
+                back.onMiss(vpn, pc, evicted, tlb);
+            // The rest of the run hits the page just installed.
+            if (count > 1)
+                tlb.access(vpn, count - 1);
+        });
 
     std::vector<SimResult> results;
     results.reserve(backs.size());
@@ -468,27 +515,6 @@ counterDelta(const SimResult &end, const SimResult &start)
     return delta;
 }
 
-/**
- * Feed @p sim batched references until @p processed reaches @p limit
- * or the stream ends.
- */
-void
-simulateUpTo(FunctionalSimulator &sim, RefStream &stream,
-             std::uint64_t limit, std::uint64_t &processed)
-{
-    std::vector<MemRef> block(kSimBatchRefs);
-    while (processed < limit) {
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(limit - processed, block.size()));
-        std::size_t got = stream.nextBatch(block.data(), want);
-        for (std::size_t i = 0; i < got; ++i)
-            sim.process(block[i]);
-        processed += got;
-        if (got < want)
-            break;
-    }
-}
-
 } // namespace
 
 SimResult
@@ -497,11 +523,9 @@ simulateWindow(const SimConfig &config, const MechanismSpec &spec,
                std::uint64_t take)
 {
     FunctionalSimulator sim(config, spec);
-    std::uint64_t processed = 0;
-    simulateUpTo(sim, stream, skip, processed);
+    sim.feed(stream, skip);
     SimResult start = sim.result();
-    std::uint64_t end = take > ~0ull - skip ? ~0ull : skip + take;
-    simulateUpTo(sim, stream, end, processed);
+    sim.feed(stream, take);
     return counterDelta(sim.result(), start);
 }
 
@@ -514,8 +538,7 @@ simulateWindowFrom(const SimConfig &config, const MechanismSpec &spec,
     if (warm)
         sim.restore(*warm);
     SimResult start = sim.result();
-    std::uint64_t processed = 0;
-    simulateUpTo(sim, stream, take, processed);
+    std::uint64_t processed = sim.feed(stream, take);
     SimResult delta = counterDelta(sim.result(), start);
     // Window attribution: every reference fed in this window — and
     // none from the restored prefix — lands in the delta, or sharded

@@ -136,8 +136,26 @@ class FunctionalSimulator
     FunctionalSimulator(const SimConfig &config,
                         const MechanismSpec &spec);
 
-    /** Feed one reference. */
+    /** Feed one reference: processRun() of a one-reference run. */
     void process(const MemRef &ref);
+
+    /**
+     * Feed @p count consecutive references to page @p vpn, the first
+     * at @p pc: the same as process() on each of them, provided no
+     * context switch falls inside the run and @p count is 1 when the
+     * mechanism trains on hits (SimConfig::trainOnAllRefs; it sees
+     * every reference's own PC).  Only the first reference can miss;
+     * the rest are hits that advance the TLB's recency clock.
+     */
+    void processRun(Vpn vpn, Addr pc, std::uint64_t count);
+
+    /**
+     * Feed up to @p max_refs references of @p stream, as page runs
+     * cut at context switches, or per reference when the mechanism
+     * trains on hits; returns how many were fed, fewer only at end
+     * of stream.
+     */
+    std::uint64_t feed(RefStream &stream, std::uint64_t max_refs);
 
     /** Counters so far (footprint refreshed on each call). */
     const SimResult &result();
@@ -172,12 +190,10 @@ class FunctionalSimulator
     Prefetcher *prefetcher() { return _prefetcher.get(); }
 
   private:
-    Vpn pageOf(const MemRef &ref) const;
-
     SimConfig _config;
     std::string _mechLabel;
-    /** log2(pageBytes) when it is a power of two, else UINT32_MAX. */
-    std::uint32_t _pageShift = UINT32_MAX;
+    /** pageShiftOf(pageBytes). */
+    std::uint32_t _pageShift = kNoPageShift;
     PageTable _pt;
     Tlb _tlb;
     PrefetchBuffer _buffer;
@@ -195,6 +211,9 @@ class FunctionalSimulator
  */
 constexpr std::size_t kSimBatchRefs = 4096;
 
+/** Page runs pulled per nextRuns call by the run-driven loops. */
+constexpr std::size_t kSimBatchRuns = 1024;
+
 /** Run @p stream to exhaustion under @p spec and return the counters. */
 SimResult simulate(const SimConfig &config, const MechanismSpec &spec,
                    RefStream &stream);
@@ -205,9 +224,10 @@ SimResult simulate(const SimConfig &config, const MechanismSpec &spec,
  * to simulate(config, specs[i], stream) over a fresh stream, at a
  * fraction of the cost, because the simulator is split at the TLB:
  *
- *   - one shared front-end decodes the stream, maps pages, detects
- *     context switches and drives the only TLB and the page table
- *     that supplies footprintPages;
+ *   - one shared front-end pulls the stream as page runs (per
+ *     reference when a mechanism trains on hits), detects context
+ *     switches and drives the only TLB and the page table that
+ *     supplies footprintPages;
  *   - one back-end per mechanism holds a prefetch buffer, the
  *     prefetcher and its counters, and runs only on TLB misses (and,
  *     under trainOnAllRefs, on the hits its mechanism observes).

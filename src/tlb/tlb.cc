@@ -59,7 +59,7 @@ Tlb::findSlot(Vpn vpn) const
 }
 
 bool
-Tlb::access(Vpn vpn)
+Tlb::access(Vpn vpn, std::uint64_t count)
 {
     // Last-hit fast path: back-to-back references to the same page
     // are the overwhelmingly common case, and the cached entry is
@@ -67,14 +67,14 @@ Tlb::access(Vpn vpn)
     if (_lastHit != kNoSlot) {
         Entry &cached = _entries[_lastHit];
         if (cached.valid && cached.vpn == vpn) {
-            cached.lastUse = ++_clock;
+            cached.lastUse = _clock += count;
             return true;
         }
     }
     std::uint32_t slot = findSlot(vpn);
     if (slot == kNoSlot)
         return false;
-    _entries[slot].lastUse = ++_clock;
+    _entries[slot].lastUse = _clock += count;
     if (_wide.enabled())
         _wide.touch(slot);
     _lastHit = slot;

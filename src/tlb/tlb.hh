@@ -46,10 +46,13 @@ class Tlb
     explicit Tlb(const TlbConfig &config);
 
     /**
-     * Probe for @p vpn; updates recency on a hit.
+     * Probe for @p vpn on behalf of @p count consecutive references to
+     * it (a page run); on a hit the recency clock advances by
+     * @p count, exactly as @p count single-reference hits would
+     * leave it.  A miss leaves the clock alone.
      * @return true on hit.
      */
-    bool access(Vpn vpn);
+    bool access(Vpn vpn, std::uint64_t count = 1);
 
     /** Probe without touching replacement state. */
     bool contains(Vpn vpn) const;

@@ -35,6 +35,16 @@ TakeStream::nextBatch(MemRef *buf, std::size_t n)
     return got;
 }
 
+std::size_t
+TakeStream::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
+                     std::uint64_t max_refs)
+{
+    std::size_t got = _inner->nextRuns(
+        buf, n, page_bytes, std::min(max_refs, _limit - _taken));
+    _taken += runRefs(buf, got);
+    return got;
+}
+
 void
 TakeStream::reset()
 {
@@ -61,16 +71,7 @@ SkipStream::ensureSkipped()
 {
     if (_skipped)
         return;
-    MemRef scratch[256];
-    std::uint64_t remaining = _count;
-    while (remaining > 0) {
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, std::size(scratch)));
-        std::size_t got = _inner->nextBatch(scratch, want);
-        remaining -= got;
-        if (got < want)
-            break; // inner exhausted inside the skip window
-    }
+    skipRefs(*_inner, _count);
     _skipped = true;
 }
 
@@ -86,6 +87,14 @@ SkipStream::nextBatch(MemRef *buf, std::size_t n)
 {
     ensureSkipped();
     return _inner->nextBatch(buf, n);
+}
+
+std::size_t
+SkipStream::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
+                     std::uint64_t max_refs)
+{
+    ensureSkipped();
+    return _inner->nextRuns(buf, n, page_bytes, max_refs);
 }
 
 void
@@ -184,6 +193,46 @@ InterleaveStream::nextBatch(MemRef *buf, std::size_t n)
     return filled;
 }
 
+std::size_t
+InterleaveStream::nextRuns(PageRun *buf, std::size_t n,
+                           std::uint64_t page_bytes,
+                           std::uint64_t max_refs)
+{
+    // nextBatch()'s rotation, with each visit's quantum passed down as
+    // the inner stream's reference budget.
+    std::size_t filled = 0;
+    std::uint64_t room = max_refs;
+    std::size_t attempts = 0;
+    while (filled < n && room > 0 && attempts < _inners.size()) {
+        if (_done[_cursor]) {
+            advanceCursor();
+            ++attempts;
+            continue;
+        }
+        if (_emitted >= _weights[_cursor]) {
+            advanceCursor();
+            attempts = 0;
+            continue;
+        }
+        std::uint64_t want =
+            std::min<std::uint64_t>(room, _weights[_cursor] - _emitted);
+        std::size_t got = _inners[_cursor]->nextRuns(
+            buf + filled, n - filled, page_bytes, want);
+        std::uint64_t refs = runRefs(buf + filled, got);
+        filled += got;
+        room -= refs;
+        _emitted += static_cast<std::uint32_t>(refs);
+        if (refs < want && filled < n) {
+            _done[_cursor] = true; // short of both budgets: exhausted
+            advanceCursor();
+            ++attempts;
+        } else {
+            attempts = 0;
+        }
+    }
+    return filled;
+}
+
 void
 InterleaveStream::reset()
 {
@@ -231,6 +280,23 @@ ConcatStream::nextBatch(MemRef *buf, std::size_t n)
         filled += _inners[_cursor]->nextBatch(buf + filled, n - filled);
         if (filled < n)
             ++_cursor; // current inner is exhausted
+    }
+    return filled;
+}
+
+std::size_t
+ConcatStream::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
+                       std::uint64_t max_refs)
+{
+    std::size_t filled = 0;
+    std::uint64_t room = max_refs;
+    while (filled < n && room > 0 && _cursor < _inners.size()) {
+        std::size_t got = _inners[_cursor]->nextRuns(
+            buf + filled, n - filled, page_bytes, room);
+        room -= runRefs(buf + filled, got);
+        filled += got;
+        if (filled < n && room > 0)
+            ++_cursor; // short of both budgets: current inner exhausted
     }
     return filled;
 }

@@ -24,6 +24,9 @@ class TakeStream : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
@@ -41,6 +44,9 @@ class SkipStream : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
@@ -65,6 +71,9 @@ class InterleaveStream : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
@@ -86,6 +95,9 @@ class ConcatStream : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 

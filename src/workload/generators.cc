@@ -1,5 +1,6 @@
 #include "workload/generators.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "trace/adaptors.hh"
@@ -16,6 +17,51 @@ inline Addr
 dwellOffset(std::uint32_t j)
 {
     return (static_cast<Addr>(j) * 264) % kDefaultPageBytes & ~7ull;
+}
+
+/**
+ * The page shift a native nextRuns() serves: that of a power-of-two
+ * @p page_bytes of at least kDefaultPageBytes, under which every
+ * 4 KiB page the generators address lies on one simulated page;
+ * kNoPageShift otherwise (the generator falls back to the base
+ * implementation).
+ */
+constexpr std::uint32_t
+generatorRunShift(std::uint64_t page_bytes)
+{
+    return page_bytes >= kDefaultPageBytes ? pageShiftOf(page_bytes)
+                                           : kNoPageShift;
+}
+
+/**
+ * References a scan at @p stride makes from @p addr before it leaves
+ * the page of @p addr (a power-of-two @p page_bytes); unbounded at
+ * stride 0.
+ */
+inline std::uint64_t
+refsOnPage(Addr addr, std::int64_t stride, std::uint64_t page_bytes)
+{
+    std::uint64_t offset = addr & (page_bytes - 1);
+    if (stride > 0)
+        return (page_bytes - 1 - offset) /
+                   static_cast<std::uint64_t>(stride) +
+               1;
+    if (stride < 0)
+        return offset / (0 - static_cast<std::uint64_t>(stride)) + 1;
+    return UINT64_MAX;
+}
+
+/**
+ * References left in a dwell step of @p target references after
+ * @p dwell, capped at @p room.  A step always holds at least one
+ * reference (next() ends it after the first when target is 0).
+ */
+inline std::uint32_t
+dwellLeft(std::uint32_t target, std::uint32_t dwell, std::uint64_t room)
+{
+    std::uint32_t left = target > dwell ? target - dwell : 1;
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(left, room));
 }
 
 /** Wrap a signed page cursor into [base, base + region). */
@@ -80,21 +126,34 @@ StridedScan::remap(Addr vaddr) const
     return _config.base + new_page * kDefaultPageBytes + in_page;
 }
 
+Addr
+StridedScan::scanAddr() const
+{
+    return static_cast<Addr>(static_cast<std::int64_t>(_config.base) +
+                             _config.strideBytes *
+                                 static_cast<std::int64_t>(_i));
+}
+
+void
+StridedScan::advance(std::uint64_t count)
+{
+    _i += count;
+    if (_i >= _config.count) {
+        _i = 0;
+        ++_pass;
+    }
+}
+
 bool
 StridedScan::next(MemRef &ref)
 {
     if (_pass >= _config.passes)
         return false;
-    ref.vaddr = remap(static_cast<Addr>(
-        static_cast<std::int64_t>(_config.base) +
-        _config.strideBytes * static_cast<std::int64_t>(_i)));
+    ref.vaddr = remap(scanAddr());
     ref.pc = _config.pc;
     ref.isWrite = false;
     ref.icount = 0;
-    if (++_i >= _config.count) {
-        _i = 0;
-        ++_pass;
-    }
+    advance(1);
     return true;
 }
 
@@ -109,6 +168,34 @@ StridedScan::nextBatch(MemRef *buf, std::size_t n)
     while (filled < n && StridedScan::next(buf[filled]))
         ++filled;
     return filled;
+}
+
+std::size_t
+StridedScan::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
+                      std::uint64_t max_refs)
+{
+    const std::uint32_t shift = generatorRunShift(page_bytes);
+    if (shift == kNoPageShift)
+        return RefStream::nextRuns(buf, n, page_bytes, max_refs);
+    RunFill out(buf, n, max_refs);
+    while (!out.full() && _pass < _config.passes) {
+        Addr raw = scanAddr();
+        Addr vaddr = remap(raw);
+        // A run ends where the scan leaves its page, and under block
+        // shuffling also where the unshuffled address leaves its
+        // 4 KiB page (remap() moves whole pages).
+        std::uint64_t left = std::min(
+            {_config.count - _i, out.room(),
+             refsOnPage(vaddr, _config.strideBytes, page_bytes)});
+        if (!_blockPerm.empty())
+            left = std::min(left,
+                            refsOnPage(raw - _config.base,
+                                       _config.strideBytes,
+                                       kDefaultPageBytes));
+        out.add(vaddr >> shift, _config.pc, left);
+        advance(left);
+    }
+    return out.filled();
 }
 
 void
@@ -143,14 +230,21 @@ ChangingStrideScan::next(MemRef &ref)
 {
     if (_pass >= _config.passes)
         return false;
-    const Phase &phase = _config.phases[_phase];
     ref.vaddr = _cursor;
     ref.pc = _config.pc;
     ref.isWrite = false;
     ref.icount = 0;
-    _cursor = static_cast<Addr>(static_cast<std::int64_t>(_cursor) +
-                                phase.strideBytes);
-    if (++_inPhase >= phase.count) {
+    advance(1);
+    return true;
+}
+
+void
+ChangingStrideScan::advance(std::uint64_t count)
+{
+    const Phase &phase = _config.phases[_phase];
+    _cursor += static_cast<Addr>(phase.strideBytes) * count;
+    _inPhase += count;
+    if (_inPhase >= phase.count) {
         _inPhase = 0;
         if (++_phase >= _config.phases.size()) {
             _phase = 0;
@@ -158,7 +252,6 @@ ChangingStrideScan::next(MemRef &ref)
             ++_pass;
         }
     }
-    return true;
 }
 
 
@@ -169,6 +262,27 @@ ChangingStrideScan::nextBatch(MemRef *buf, std::size_t n)
     while (filled < n && ChangingStrideScan::next(buf[filled]))
         ++filled;
     return filled;
+}
+
+std::size_t
+ChangingStrideScan::nextRuns(PageRun *buf, std::size_t n,
+                             std::uint64_t page_bytes,
+                             std::uint64_t max_refs)
+{
+    const std::uint32_t shift = generatorRunShift(page_bytes);
+    if (shift == kNoPageShift)
+        return RefStream::nextRuns(buf, n, page_bytes, max_refs);
+    RunFill out(buf, n, max_refs);
+    while (!out.full() && _pass < _config.passes) {
+        const Phase &phase = _config.phases[_phase];
+        std::uint64_t left =
+            std::min({phase.count - _inPhase, out.room(),
+                      refsOnPage(_cursor, phase.strideBytes,
+                                 page_bytes)});
+        out.add(_cursor >> shift, _config.pc, left);
+        advance(left);
+    }
+    return out.filled();
 }
 
 void
@@ -222,7 +336,15 @@ DistancePatternWalk::next(MemRef &ref)
     ref.pc = _config.pcBase + 4 * _dwell;
     ref.isWrite = false;
     ref.icount = 0;
-    if (++_dwell >= _config.refsPerStep) {
+    advance(1);
+    return true;
+}
+
+void
+DistancePatternWalk::advance(std::uint32_t count)
+{
+    _dwell += count;
+    if (_dwell >= _config.refsPerStep) {
         _dwell = 0;
         advancePage();
         if (++_step >= _config.steps) {
@@ -232,7 +354,6 @@ DistancePatternWalk::next(MemRef &ref)
             ++_pass;
         }
     }
-    return true;
 }
 
 
@@ -243,6 +364,25 @@ DistancePatternWalk::nextBatch(MemRef *buf, std::size_t n)
     while (filled < n && DistancePatternWalk::next(buf[filled]))
         ++filled;
     return filled;
+}
+
+std::size_t
+DistancePatternWalk::nextRuns(PageRun *buf, std::size_t n,
+                              std::uint64_t page_bytes,
+                              std::uint64_t max_refs)
+{
+    const std::uint32_t shift = generatorRunShift(page_bytes);
+    if (shift == kNoPageShift)
+        return RefStream::nextRuns(buf, n, page_bytes, max_refs);
+    RunFill out(buf, n, max_refs);
+    while (!out.full() && _pass < _config.passes) {
+        std::uint32_t left =
+            dwellLeft(_config.refsPerStep, _dwell, out.room());
+        out.add((_page * kDefaultPageBytes + dwellOffset(_dwell)) >> shift,
+                _config.pcBase + 4 * _dwell, left);
+        advance(left);
+    }
+    return out.filled();
 }
 
 void
@@ -392,7 +532,15 @@ HistoryLoop::next(MemRef &ref)
     ref.pc = _config.pcBase + 4 * (_dwell % 8);
     ref.isWrite = false;
     ref.icount = 0;
-    if (++_dwell >= _dwellTarget) {
+    advance(1);
+    return true;
+}
+
+void
+HistoryLoop::advance(std::uint32_t count)
+{
+    _dwell += count;
+    if (_dwell >= _dwellTarget) {
         _dwell = 0;
         _dwellTarget = stepDwell();
         if (++_pos >= _sequence.size()) {
@@ -400,7 +548,6 @@ HistoryLoop::next(MemRef &ref)
             ++_pass;
         }
     }
-    return true;
 }
 
 
@@ -411,6 +558,25 @@ HistoryLoop::nextBatch(MemRef *buf, std::size_t n)
     while (filled < n && HistoryLoop::next(buf[filled]))
         ++filled;
     return filled;
+}
+
+std::size_t
+HistoryLoop::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
+                      std::uint64_t max_refs)
+{
+    const std::uint32_t shift = generatorRunShift(page_bytes);
+    if (shift == kNoPageShift)
+        return RefStream::nextRuns(buf, n, page_bytes, max_refs);
+    RunFill out(buf, n, max_refs);
+    while (!out.full() && _pass < _config.passes) {
+        std::uint32_t left = dwellLeft(_dwellTarget, _dwell, out.room());
+        out.add((_sequence[_pos] * kDefaultPageBytes +
+                 dwellOffset(_dwell)) >>
+                    shift,
+                _config.pcBase + 4 * (_dwell % 8), left);
+        advance(left);
+    }
+    return out.filled();
 }
 
 void
@@ -451,19 +617,26 @@ AlternatingPermutations::next(MemRef &ref)
 {
     if (_round >= _config.rounds)
         return false;
-    const std::vector<Vpn> &perm = _perm[_round % 2];
-    ref.vaddr = perm[_pos] * kDefaultPageBytes + dwellOffset(_dwell);
+    ref.vaddr = _perm[_round % 2][_pos] * kDefaultPageBytes +
+                dwellOffset(_dwell);
     ref.pc = _config.pcBase + 4 * _dwell;
     ref.isWrite = false;
     ref.icount = 0;
-    if (++_dwell >= _config.refsPerStep) {
+    advance(1);
+    return true;
+}
+
+void
+AlternatingPermutations::advance(std::uint32_t count)
+{
+    _dwell += count;
+    if (_dwell >= _config.refsPerStep) {
         _dwell = 0;
-        if (++_pos >= perm.size()) {
+        if (++_pos >= _perm[_round % 2].size()) {
             _pos = 0;
             ++_round;
         }
     }
-    return true;
 }
 
 
@@ -474,6 +647,27 @@ AlternatingPermutations::nextBatch(MemRef *buf, std::size_t n)
     while (filled < n && AlternatingPermutations::next(buf[filled]))
         ++filled;
     return filled;
+}
+
+std::size_t
+AlternatingPermutations::nextRuns(PageRun *buf, std::size_t n,
+                                  std::uint64_t page_bytes,
+                                  std::uint64_t max_refs)
+{
+    const std::uint32_t shift = generatorRunShift(page_bytes);
+    if (shift == kNoPageShift)
+        return RefStream::nextRuns(buf, n, page_bytes, max_refs);
+    RunFill out(buf, n, max_refs);
+    while (!out.full() && _round < _config.rounds) {
+        std::uint32_t left =
+            dwellLeft(_config.refsPerStep, _dwell, out.room());
+        out.add((_perm[_round % 2][_pos] * kDefaultPageBytes +
+                 dwellOffset(_dwell)) >>
+                    shift,
+                _config.pcBase + 4 * _dwell, left);
+        advance(left);
+    }
+    return out.filled();
 }
 
 void
@@ -518,12 +712,19 @@ ZipfMix::next(MemRef &ref)
     ref.pc = _config.pcBase + 4 * _dwell;
     ref.isWrite = false;
     ref.icount = 0;
-    if (++_dwell >= _config.refsPerStep) {
+    advance(1);
+    return true;
+}
+
+void
+ZipfMix::advance(std::uint32_t count)
+{
+    _dwell += count;
+    if (_dwell >= _config.refsPerStep) {
         _dwell = 0;
         ++_step;
         _page = _pageMap[_zipf.sample(_rng)];
     }
-    return true;
 }
 
 
@@ -534,6 +735,24 @@ ZipfMix::nextBatch(MemRef *buf, std::size_t n)
     while (filled < n && ZipfMix::next(buf[filled]))
         ++filled;
     return filled;
+}
+
+std::size_t
+ZipfMix::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
+                  std::uint64_t max_refs)
+{
+    const std::uint32_t shift = generatorRunShift(page_bytes);
+    if (shift == kNoPageShift)
+        return RefStream::nextRuns(buf, n, page_bytes, max_refs);
+    RunFill out(buf, n, max_refs);
+    while (!out.full() && _step < _config.steps) {
+        std::uint32_t left =
+            dwellLeft(_config.refsPerStep, _dwell, out.room());
+        out.add((_page * kDefaultPageBytes + dwellOffset(_dwell)) >> shift,
+                _config.pcBase + 4 * _dwell, left);
+        advance(left);
+    }
+    return out.filled();
 }
 
 void
@@ -586,6 +805,15 @@ PaceStream::nextBatch(MemRef *buf, std::size_t n)
             static_cast<double>(_emitted) * _instrPerRef));
         ++_emitted;
     }
+    return got;
+}
+
+std::size_t
+PaceStream::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
+                     std::uint64_t max_refs)
+{
+    std::size_t got = _inner->nextRuns(buf, n, page_bytes, max_refs);
+    _emitted += runRefs(buf, got);
     return got;
 }
 

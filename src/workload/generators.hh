@@ -65,11 +65,18 @@ class StridedScan : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
   private:
+    /** Unshuffled address of reference _i of the pass. */
+    Addr scanAddr() const;
     Addr remap(Addr vaddr) const;
+    /** Move past @p count references of the current pass. */
+    void advance(std::uint64_t count);
 
     Config _config;
     std::vector<std::uint32_t> _blockPerm;
@@ -103,10 +110,16 @@ class ChangingStrideScan : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
   private:
+    /** Move past @p count references of the current phase. */
+    void advance(std::uint64_t count);
+
     Config _config;
     Addr _cursor;
     std::size_t _phase = 0;
@@ -141,11 +154,16 @@ class DistancePatternWalk : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
   private:
     void advancePage();
+    /** Move past @p count references of the current dwell step. */
+    void advance(std::uint32_t count);
 
     Config _config;
     Rng _rng;
@@ -195,6 +213,9 @@ class HistoryLoop : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
@@ -204,6 +225,8 @@ class HistoryLoop : public RefStream
   private:
     void buildSequence();
     std::uint32_t stepDwell();
+    /** Move past @p count references of the current dwell step. */
+    void advance(std::uint32_t count);
 
     Config _config;
     std::vector<Vpn> _sequence;
@@ -237,10 +260,16 @@ class AlternatingPermutations : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
   private:
+    /** Move past @p count references of the current dwell step. */
+    void advance(std::uint32_t count);
+
     Config _config;
     std::vector<Vpn> _perm[2];
     std::uint64_t _pos = 0;
@@ -270,10 +299,16 @@ class ZipfMix : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 
   private:
+    /** Move past @p count references of the current dwell step. */
+    void advance(std::uint32_t count);
+
     Config _config;
     Rng _rng;
     ZipfSampler _zipf;
@@ -294,6 +329,9 @@ class PaceStream : public RefStream
 
     bool next(MemRef &ref) override;
     std::size_t nextBatch(MemRef *buf, std::size_t n) override;
+    std::size_t nextRuns(PageRun *buf, std::size_t n,
+                         std::uint64_t page_bytes,
+                         std::uint64_t max_refs) override;
     void reset() override;
     std::string describe() const override;
 

@@ -149,7 +149,7 @@ TEST_P(MissRateCalibration, WithinBand)
 {
     const MissRateBand &band = GetParam();
     MechanismSpec none = MechanismSpec::none();
-    SimResult r = runFunctional(band.app, none, 400000);
+    SimResult r = runFunctional(WorkloadSpec::parse(band.app), none, 400000);
     EXPECT_GE(r.missRate(), band.lo) << band.app;
     EXPECT_LE(r.missRate(), band.hi) << band.app;
 }

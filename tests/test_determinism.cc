@@ -61,8 +61,10 @@ TEST(Determinism, FunctionalRunsAreBitIdentical)
 {
     for (const char *app : {"gcc", "galgel", "mcf"}) {
         for (const MechanismSpec &spec : table2Specs()) {
-            SimResult first = runFunctional(app, spec, kRefs);
-            SimResult second = runFunctional(app, spec, kRefs);
+            SimResult first = runFunctional(WorkloadSpec::parse(app),
+                                            spec, kRefs);
+            SimResult second = runFunctional(WorkloadSpec::parse(app),
+                                             spec, kRefs);
             EXPECT_EQ(counters(first), counters(second))
                 << app << " under " << spec.label();
         }
@@ -74,20 +76,20 @@ TEST(Determinism, FunctionalRunsSurviveInterleavedWork)
     // A run sandwiched between unrelated simulations must not change:
     // no hidden global state may leak between simulator instances.
     MechanismSpec dp = MechanismSpec::parse("dp");
-    SimResult baseline = runFunctional("swim", dp, kRefs);
+    SimResult baseline = runFunctional(WorkloadSpec::parse("swim"), dp, kRefs);
 
     MechanismSpec rp = MechanismSpec::parse("rp");
-    (void)runFunctional("gcc", rp, kRefs);
+    (void)runFunctional(WorkloadSpec::parse("gcc"), rp, kRefs);
 
-    SimResult again = runFunctional("swim", dp, kRefs);
+    SimResult again = runFunctional(WorkloadSpec::parse("swim"), dp, kRefs);
     EXPECT_EQ(counters(baseline), counters(again));
 }
 
 TEST(Determinism, TimedRunsAreBitIdentical)
 {
     MechanismSpec spec = MechanismSpec::parse("dp");
-    TimingResult first = runTimed("gcc", spec, kRefs);
-    TimingResult second = runTimed("gcc", spec, kRefs);
+    TimingResult first = runTimed(WorkloadSpec::parse("gcc"), spec, kRefs);
+    TimingResult second = runTimed(WorkloadSpec::parse("gcc"), spec, kRefs);
     EXPECT_EQ(counters(first), counters(second));
 }
 

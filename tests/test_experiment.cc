@@ -53,9 +53,10 @@ TEST(Table2Specs, FourSchemesAt256)
 TEST(AccuracySweep, CellsMatchIndividualRuns)
 {
     std::vector<MechanismSpec> specs = table2Specs();
-    auto cells = accuracySweep("galgel", specs, 100000);
+    auto cells = accuracySweep(WorkloadSpec::parse("galgel"), specs, 100000);
     ASSERT_EQ(cells.size(), 4u);
-    SimResult direct = runFunctional("galgel", specs[0], 100000);
+    SimResult direct = runFunctional(WorkloadSpec::parse("galgel"),
+                                     specs[0], 100000);
     EXPECT_DOUBLE_EQ(cells[0].accuracy, direct.accuracy());
     EXPECT_DOUBLE_EQ(cells[0].missRate, direct.missRate());
     EXPECT_EQ(cells[0].label, "DP,256,D");
@@ -63,7 +64,8 @@ TEST(AccuracySweep, CellsMatchIndividualRuns)
 
 TEST(RunTimed, NormalisesSanely)
 {
-    TimingResult r = runTimed("eon", MechanismSpec::none(), 50000);
+    TimingResult r = runTimed(WorkloadSpec::parse("eon"),
+                              MechanismSpec::none(), 50000);
     // eon barely misses: cycles ~ compute cycles.
     EXPECT_LT(r.stallCycles, r.computeCycles / 10);
     EXPECT_EQ(r.cycles, r.computeCycles + r.stallCycles);
@@ -99,8 +101,8 @@ TEST(Variants, WideReachRpLiftsAccuracyOnHistoryApp)
     // issues more prefetch traffic.
     MechanismSpec rp2 = MechanismSpec::parse("rp(reach=1)");
     MechanismSpec rp4 = MechanismSpec::parse("rp(reach=2)");
-    SimResult narrow = runFunctional("gcc", rp2, 300000);
-    SimResult wide = runFunctional("gcc", rp4, 300000);
+    SimResult narrow = runFunctional(WorkloadSpec::parse("gcc"), rp2, 300000);
+    SimResult wide = runFunctional(WorkloadSpec::parse("gcc"), rp4, 300000);
     EXPECT_GE(wide.accuracy(), narrow.accuracy() - 0.02);
     EXPECT_GT(wide.prefetchesIssued, narrow.prefetchesIssued);
 }

@@ -264,6 +264,110 @@ TEST(FunctionalSim, PageSizeChangesFootprint)
     EXPECT_GT(r4k.misses, r16k.misses);
 }
 
+// ------------------------------------ the per-reference oracle
+
+/**
+ * The per-reference oracle every split or run-driven path is checked
+ * against: FunctionalSimulator::process() on each reference of a
+ * nextBatch() drain, no page runs and no shared front-end anywhere.
+ * Snapshots are taken after every reference count in @p cuts (and
+ * at the end) when the mechanism is checkpointable.
+ */
+struct OracleRun
+{
+    SimResult result;
+    /** counter totals and snapshot bytes at each cut, then the end */
+    std::vector<SimResult> atCut;
+    std::vector<SimState> stateAtCut;
+};
+
+OracleRun
+oracleRun(const SimConfig &config, const MechanismSpec &spec,
+          RefStream &stream, const std::vector<std::uint64_t> &cuts = {})
+{
+    FunctionalSimulator sim(config, spec);
+    OracleRun out;
+    auto cut = [&] {
+        out.atCut.push_back(sim.result());
+        if (sim.checkpointable())
+            out.stateAtCut.push_back(sim.snapshot());
+    };
+    std::vector<MemRef> block(kSimBatchRefs);
+    std::uint64_t done = 0;
+    std::size_t next_cut = 0;
+    std::size_t got;
+    while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
+        for (std::size_t i = 0; i < got; ++i) {
+            while (next_cut < cuts.size() && cuts[next_cut] == done) {
+                cut();
+                ++next_cut;
+            }
+            sim.process(block[i]);
+            ++done;
+        }
+    }
+    for (; next_cut < cuts.size(); ++next_cut)
+        cut();
+    cut();
+    out.result = sim.result();
+    return out;
+}
+
+/** oracleRun()'s counters alone. */
+SimResult
+oracleSimulate(const SimConfig &config, const MechanismSpec &spec,
+               RefStream &stream)
+{
+    return oracleRun(config, spec, stream).result;
+}
+
+/**
+ * The geometries every differential suite sweeps beyond the default:
+ * set-associative TLBs, context switches at every reference and at
+ * an interval that divides no batch, trainOnAllRefs with and without
+ * switches, a one-entry buffer, and 8 KiB pages and a page size that
+ * is not a power of two.
+ */
+std::vector<SimConfig>
+differentialConfigs()
+{
+    std::vector<SimConfig> configs;
+    auto add = [&](auto &&edit) {
+        SimConfig config;
+        edit(config);
+        configs.push_back(config);
+    };
+    add([](SimConfig &c) { c.tlb = TlbConfig{64, 4}; });
+    add([](SimConfig &c) { c.tlb = TlbConfig{256, 2}; });
+    add([](SimConfig &c) { c.contextSwitchInterval = 1; });
+    // Does not divide kSimBatchRefs: flushes land mid-block.
+    add([](SimConfig &c) { c.contextSwitchInterval = 3001; });
+    add([](SimConfig &c) {
+        c.tlb = TlbConfig{64, 4};
+        c.contextSwitchInterval = 5000;
+    });
+    add([](SimConfig &c) { c.trainOnAllRefs = true; });
+    add([](SimConfig &c) {
+        c.trainOnAllRefs = true;
+        c.contextSwitchInterval = 3001;
+    });
+    add([](SimConfig &c) { c.pbEntries = 1; });
+    add([](SimConfig &c) { c.pageBytes = 8192; });
+    add([](SimConfig &c) { c.pageBytes = 12288; }); // not a power of 2
+    return configs;
+}
+
+std::string
+describe(const SimConfig &config)
+{
+    return testing::PrintToString(config.tlb.entries) + "/" +
+           testing::PrintToString(config.tlb.assoc) + " pb " +
+           testing::PrintToString(config.pbEntries) + " page " +
+           testing::PrintToString(config.pageBytes) + " cs " +
+           testing::PrintToString(config.contextSwitchInterval) +
+           " all-refs " + testing::PrintToString(config.trainOnAllRefs);
+}
+
 // ------------------------------------------- simulateMany vs simulate
 
 /**
@@ -324,8 +428,8 @@ differentialSpecs()
 }
 
 /**
- * simulateMany over one stream must equal a fresh per-spec
- * simulate() — the per-reference oracle — counter for counter.
+ * simulateMany over one stream must equal the per-reference oracle
+ * of each spec over a fresh stream, counter for counter.
  */
 void
 expectManyMatchesOracle(const SimConfig &config,
@@ -338,7 +442,7 @@ expectManyMatchesOracle(const SimConfig &config,
     ASSERT_EQ(many.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         auto fresh = workload.build(refs);
-        SimResult oracle = simulate(config, specs[i], *fresh);
+        SimResult oracle = oracleSimulate(config, specs[i], *fresh);
         EXPECT_EQ(many[i], oracle)
             << workload.label() << " under " << specs[i].label()
             << ": misses " << many[i].misses << " vs " << oracle.misses
@@ -358,29 +462,6 @@ TEST(SimulateMany, MatchesPerSpecOracleOnEveryApp)
 
 TEST(SimulateMany, MatchesPerSpecOracleAcrossGeometries)
 {
-    std::vector<SimConfig> configs;
-    auto add = [&](auto &&edit) {
-        SimConfig config;
-        edit(config);
-        configs.push_back(config);
-    };
-    add([](SimConfig &c) { c.tlb = TlbConfig{64, 4}; });
-    add([](SimConfig &c) { c.tlb = TlbConfig{256, 2}; });
-    add([](SimConfig &c) { c.contextSwitchInterval = 1; });
-    // Does not divide kSimBatchRefs: flushes land mid-block.
-    add([](SimConfig &c) { c.contextSwitchInterval = 3001; });
-    add([](SimConfig &c) {
-        c.tlb = TlbConfig{64, 4};
-        c.contextSwitchInterval = 5000;
-    });
-    add([](SimConfig &c) { c.trainOnAllRefs = true; });
-    add([](SimConfig &c) {
-        c.trainOnAllRefs = true;
-        c.contextSwitchInterval = 3001;
-    });
-    add([](SimConfig &c) { c.pbEntries = 1; });
-    add([](SimConfig &c) { c.pageBytes = 12288; }); // not a power of 2
-
     std::vector<WorkloadSpec> workloads;
     for (const std::string &name : highMissRateApps())
         workloads.push_back(WorkloadSpec::app(name));
@@ -389,18 +470,12 @@ TEST(SimulateMany, MatchesPerSpecOracleAcrossGeometries)
         std::string("trace:") + TLBPF_TEST_DATA_DIR + "/sample.tpf"));
     workloads.push_back(WorkloadSpec::parse("mix:mcf+gcc@5k"));
 
-    for (const SimConfig &config : configs) {
+    for (const SimConfig &config : differentialConfigs()) {
         // Every reference misses at interval 1: keep that one short.
         std::uint64_t refs =
             config.contextSwitchInterval == 1 ? 4000 : 20000;
         for (const WorkloadSpec &workload : workloads) {
-            SCOPED_TRACE(testing::Message()
-                         << "tlb " << config.tlb.entries << "/"
-                         << config.tlb.assoc << " pb "
-                         << config.pbEntries << " page "
-                         << config.pageBytes << " cs "
-                         << config.contextSwitchInterval << " all-refs "
-                         << config.trainOnAllRefs);
+            SCOPED_TRACE("tlb " + describe(config));
             expectManyMatchesOracle(config, workload, refs);
         }
     }
@@ -415,6 +490,159 @@ TEST(SimulateMany, EmptySpecListAndEmptyStream)
         simulateMany(SimConfig{}, {spec("dp")}, empty);
     ASSERT_EQ(none.size(), 1u);
     EXPECT_EQ(none[0], SimResult{});
+}
+
+// -------------------------------- page runs vs the per-reference oracle
+
+/** @p texts parsed as mechanisms ("echo" registered first). */
+std::vector<MechanismSpec>
+parseSpecs(std::initializer_list<const char *> texts)
+{
+    differentialSpecs(); // registers "echo"
+    std::vector<MechanismSpec> specs;
+    for (const char *text : texts)
+        specs.push_back(MechanismSpec::parse(text));
+    return specs;
+}
+
+/**
+ * Feeding @p workload to a FunctionalSimulator as page runs (what
+ * simulate() does) must leave the counters and the snapshot bytes of
+ * the per-reference oracle.
+ */
+void
+expectFeedMatchesOracle(const SimConfig &config,
+                        const WorkloadSpec &workload, std::uint64_t refs,
+                        const MechanismSpec &spec)
+{
+    SCOPED_TRACE(workload.label() + " under " + spec.label() + ", " +
+                 describe(config));
+    auto oracle_stream = workload.build(refs);
+    OracleRun oracle = oracleRun(config, spec, *oracle_stream);
+
+    FunctionalSimulator sim(config, spec);
+    auto stream = workload.build(refs);
+    EXPECT_EQ(sim.feed(*stream, UINT64_MAX), oracle.result.refs);
+    EXPECT_EQ(sim.result(), oracle.result);
+    if (sim.checkpointable()) {
+        EXPECT_TRUE(sim.snapshot().bytes ==
+                    oracle.stateAtCut.back().bytes)
+            << "snapshot bytes differ from the per-reference oracle";
+    }
+}
+
+/**
+ * Every app under every geometry, with no mechanism, a PC-indexed
+ * one (ASP sees each run's first PC), the Markov scheme at its
+ * widest, recency (stack links in the page table) and a composite.
+ */
+TEST(SimulateRuns, FeedMatchesPerReferenceOracleOnEveryApp)
+{
+    const std::vector<MechanismSpec> specs = parseSpecs(
+        {"none", "ASP,256,D", "MP,256,F", "rp",
+         "hybrid(dp+rp+sp(adaptive))"});
+    std::vector<SimConfig> configs = differentialConfigs();
+    configs.insert(configs.begin(), SimConfig{});
+    for (const SimConfig &config : configs) {
+        std::uint64_t refs =
+            config.contextSwitchInterval == 1 ? 1500 : 5000;
+        for (const AppModel &app : appRegistry())
+            for (const MechanismSpec &spec : specs)
+                expectFeedMatchesOracle(
+                    config, WorkloadSpec::app(app.name), refs, spec);
+    }
+}
+
+/** simulate() itself, on the streams served by the base nextRuns(). */
+TEST(SimulateRuns, SimulateMatchesPerReferenceOracleOnTracesAndMixes)
+{
+    const std::vector<MechanismSpec> specs =
+        parseSpecs({"none", "ASP,256,D", "DP,256,D", "rp", "echo"});
+    std::vector<WorkloadSpec> workloads{
+        WorkloadSpec::parse(std::string("trace:") + TLBPF_TEST_DATA_DIR +
+                            "/sample.tpf"),
+        WorkloadSpec::parse("mix:mcf+gcc@5k"),
+        WorkloadSpec::parse("mix:galgel+art@333")};
+    for (const SimConfig &config : differentialConfigs())
+        for (const WorkloadSpec &workload : workloads) {
+            for (const MechanismSpec &spec : specs) {
+                expectFeedMatchesOracle(config, workload, 10000, spec);
+                auto oracle_stream = workload.build(10000);
+                auto stream = workload.build(10000);
+                EXPECT_EQ(simulate(config, spec, *stream),
+                          oracleSimulate(config, spec, *oracle_stream))
+                    << workload.label() << " under " << spec.label()
+                    << ", " << describe(config);
+            }
+        }
+}
+
+/**
+ * An 8-window simulateWindowFrom() chain at an odd window size must
+ * reproduce, window by window, the oracle's counter deltas and its
+ * snapshot bytes at every window boundary; simulateWindow()'s replay
+ * warm-up must give the last window's delta too.
+ */
+TEST(SimulateRuns, ShardChainsMatchPerReferenceOracle)
+{
+    constexpr std::uint64_t kWindow = 20001;
+    constexpr int kShards = 8;
+    constexpr std::uint64_t kRefs = kWindow * kShards;
+    std::vector<std::uint64_t> cuts;
+    for (int k = 1; k < kShards; ++k)
+        cuts.push_back(kWindow * static_cast<std::uint64_t>(k));
+
+    std::vector<SimConfig> configs;
+    for (const SimConfig &config : differentialConfigs())
+        if (config.contextSwitchInterval != 1)
+            configs.push_back(config);
+    std::vector<WorkloadSpec> workloads{
+        WorkloadSpec::app("galgel"), WorkloadSpec::app("mcf"),
+        WorkloadSpec::parse("mix:mcf+gcc@5k")};
+    const std::vector<MechanismSpec> specs =
+        parseSpecs({"ASP,256,D", "rp"});
+
+    for (const SimConfig &config : configs) {
+        for (const WorkloadSpec &workload : workloads) {
+            for (const MechanismSpec &spec : specs) {
+                SCOPED_TRACE(workload.label() + " under " +
+                             spec.label() + ", " + describe(config));
+                auto oracle_stream = workload.build(kRefs);
+                OracleRun oracle =
+                    oracleRun(config, spec, *oracle_stream, cuts);
+                ASSERT_EQ(oracle.atCut.size(), kShards);
+
+                auto stream = workload.build(kRefs);
+                SimState state;
+                SimResult start;
+                for (int k = 0; k < kShards; ++k) {
+                    SCOPED_TRACE(testing::Message() << "window " << k);
+                    SimState end_state;
+                    SimResult delta = simulateWindowFrom(
+                        config, spec, *stream, k ? &state : nullptr,
+                        kWindow, &end_state);
+                    // Totals before the window plus its delta are
+                    // the oracle's totals at the window's end.
+                    SimResult total = start;
+                    addCounters(total, delta);
+                    EXPECT_EQ(total, oracle.atCut[k]);
+                    EXPECT_TRUE(end_state.bytes ==
+                                oracle.stateAtCut[k].bytes)
+                        << "snapshot bytes differ at the window end";
+                    if (k == kShards - 1) {
+                        auto replay_stream = workload.build(kRefs);
+                        EXPECT_EQ(simulateWindow(config, spec,
+                                                 *replay_stream,
+                                                 kRefs - kWindow,
+                                                 kWindow),
+                                  delta);
+                    }
+                    start = oracle.atCut[k];
+                    state = std::move(end_state);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -30,7 +30,7 @@ double
 accuracy(const std::string &app, const MechanismSpec &s,
          std::uint64_t refs = kRefs)
 {
-    return runFunctional(app, s, refs).accuracy();
+    return runFunctional(WorkloadSpec::parse(app), s, refs).accuracy();
 }
 
 TEST(Integration, ColdStridedFavoursAspAndDp)
@@ -169,9 +169,9 @@ TEST(Integration, Table3DpWinsCyclesDespiteLowerAccuracy)
     MechanismSpec none = spec("none");
     for (const std::string &app : {std::string("ammp"),
                                    std::string("mcf")}) {
-        TimingResult base = runTimed(app, none, kRefs);
-        TimingResult rp = runTimed(app, spec("rp"), kRefs);
-        TimingResult dp = runTimed(app, spec("dp"), kRefs);
+        TimingResult base = runTimed(WorkloadSpec::parse(app), none, kRefs);
+        TimingResult rp = runTimed(WorkloadSpec::parse(app), spec("rp"), kRefs);
+        TimingResult dp = runTimed(WorkloadSpec::parse(app), spec("dp"), kRefs);
         double rp_norm = static_cast<double>(rp.cycles) /
                          static_cast<double>(base.cycles);
         double dp_norm = static_cast<double>(dp.cycles) /
@@ -184,8 +184,9 @@ TEST(Integration, Table3DpWinsCyclesDespiteLowerAccuracy)
 TEST(Integration, McfRpSlowerThanNoPrefetching)
 {
     // Paper Table 3: mcf RP = 1.09 — prefetching makes it *slower*.
-    TimingResult base = runTimed("mcf", spec("none"), kRefs);
-    TimingResult rp = runTimed("mcf", spec("rp"), kRefs);
+    TimingResult base = runTimed(WorkloadSpec::parse("mcf"),
+                                 spec("none"), kRefs);
+    TimingResult rp = runTimed(WorkloadSpec::parse("mcf"), spec("rp"), kRefs);
     EXPECT_GT(rp.cycles, base.cycles);
 }
 

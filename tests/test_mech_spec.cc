@@ -348,8 +348,10 @@ TEST(Hybrid, RunsEndToEndOnTheSweepEngineBitIdentically)
         MechanismSpec::parse("dp"),
         MechanismSpec::parse("sp"),
     };
-    auto serial = accuracySweep("gcc", specs, 30000, SimConfig{}, 1);
-    auto parallel = accuracySweep("gcc", specs, 30000, SimConfig{}, 4);
+    auto serial = accuracySweep(WorkloadSpec::parse("gcc"),
+                                specs, 30000, SimConfig{}, 1);
+    auto parallel = accuracySweep(WorkloadSpec::parse("gcc"),
+                                  specs, 30000, SimConfig{}, 4);
     ASSERT_EQ(serial.size(), 3u);
     ASSERT_EQ(parallel.size(), 3u);
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -209,7 +209,7 @@ TEST(SweepEngine, SingleJobMatchesDirectRun)
         engine.run({SweepJob::functional(WorkloadSpec::app("gcc"),
                                          dp, kRefs)});
     ASSERT_EQ(results.size(), 1u);
-    SimResult direct = runFunctional("gcc", dp, kRefs);
+    SimResult direct = runFunctional(WorkloadSpec::parse("gcc"), dp, kRefs);
     EXPECT_EQ(results[0].functional.misses, direct.misses);
     EXPECT_EQ(results[0].functional.pbHits, direct.pbHits);
     EXPECT_EQ(results[0].mode, JobMode::Functional);
@@ -475,9 +475,11 @@ TEST(ResultSink, MultiSinkFansOut)
 TEST(Experiment, ParallelAccuracySweepMatchesSerial)
 {
     std::vector<AccuracyCell> serial =
-        accuracySweep("galgel", table2Specs(), kRefs, SimConfig{}, 1);
+        accuracySweep(WorkloadSpec::parse("galgel"),
+                      table2Specs(), kRefs, SimConfig{}, 1);
     std::vector<AccuracyCell> parallel =
-        accuracySweep("galgel", table2Specs(), kRefs, SimConfig{}, 4);
+        accuracySweep(WorkloadSpec::parse("galgel"),
+                      table2Specs(), kRefs, SimConfig{}, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].label, parallel[i].label);

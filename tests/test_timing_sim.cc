@@ -156,8 +156,9 @@ TEST(TimingSim, DpNeverSkips)
 TEST(TimingSim, RpGeneratesMoreMemoryTrafficThanDp)
 {
     // Paper Section 3.2: RP's traffic is 2-3x DP's.
-    TimingResult rp = runTimed("ammp", spec("rp"), 200000);
-    TimingResult dp = runTimed("ammp", spec("dp(rows=64)"), 200000);
+    TimingResult rp = runTimed(WorkloadSpec::parse("ammp"), spec("rp"), 200000);
+    TimingResult dp = runTimed(WorkloadSpec::parse("ammp"),
+                               spec("dp(rows=64)"), 200000);
     EXPECT_GT(rp.memoryOps, dp.memoryOps);
     EXPECT_GE(static_cast<double>(rp.memoryOps),
               1.5 * static_cast<double>(dp.memoryOps));
@@ -201,8 +202,10 @@ TEST(TimingSim, FunctionalCountersMatchFunctionalSimWithoutPrefetch)
 TEST(TimingSim, PrefetchingSpeedsUpStridedApp)
 {
     // galgel: strided re-touch; DP should clearly beat no-prefetching.
-    TimingResult base = runTimed("galgel", spec("none"), 150000);
-    TimingResult dp = runTimed("galgel", spec("dp(rows=64)"), 150000);
+    TimingResult base = runTimed(WorkloadSpec::parse("galgel"),
+                                 spec("none"), 150000);
+    TimingResult dp = runTimed(WorkloadSpec::parse("galgel"),
+                               spec("dp(rows=64)"), 150000);
     EXPECT_LT(dp.cycles, base.cycles);
 }
 

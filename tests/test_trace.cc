@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 
+#include "run_oracle.hh"
 #include "trace/adaptors.hh"
 #include "trace/ref_stream.hh"
 #include "trace/trace_file.hh"
+#include "workload/generators.hh"
 
 namespace tlbpf
 {
@@ -502,6 +505,163 @@ TEST_F(TraceFileTest, NextBatchMatchesNextAndInterleaves)
         }
     }
     EXPECT_EQ(out, refs);
+}
+
+/**
+ * References that dwell on a page for a random stretch, at random
+ * offsets and PCs: runs of every length, and pages of 2 KiB split
+ * them.
+ */
+std::vector<MemRef>
+dwellingRefs(std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    std::vector<MemRef> refs;
+    Vpn page = 1 << 20;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (rng.chance(0.2))
+            page = (1 << 20) + rng.nextBelow(48);
+        refs.push_back(ref(page * kDefaultPageBytes + rng.nextBelow(4096),
+                           0x400000 + 4 * rng.nextBelow(8),
+                           rng.chance(0.3), 3 * i));
+    }
+    return refs;
+}
+
+/**
+ * nextRuns() through Take/Skip/Interleave/Concat compositions of
+ * vectors, a trace file and every generator (including the edge
+ * cases of their native run paths: block shuffling from an unaligned
+ * base, negative, zero and page-sized strides, bursty dwells and a
+ * zero-length dwell step) must expand to the nextBatch() drain.
+ */
+TEST_F(TraceFileTest, RunsMatchNextBatchThroughAdaptors)
+{
+    {
+        TraceWriter writer(_path);
+        for (const MemRef &r : dwellingRefs(7, 900))
+            writer.write(r);
+    }
+    auto vec = [](std::uint64_t seed, std::size_t n) {
+        return std::make_unique<VectorStream>(dwellingRefs(seed, n));
+    };
+    auto shuffled = [] {
+        StridedScan::Config c;
+        c.base = (1ull << 32) + 1000; // not page aligned
+        c.strideBytes = 200;
+        c.count = 400;
+        c.passes = 2;
+        c.shuffleBlockPages = 3;
+        c.seed = 5;
+        return std::make_unique<StridedScan>(c);
+    };
+    auto backwards = [] {
+        StridedScan::Config c;
+        c.strideBytes = -4096;
+        c.count = 90;
+        c.pc = 0x500000;
+        return std::make_unique<StridedScan>(c);
+    };
+    auto changing = [] {
+        ChangingStrideScan::Config c;
+        c.phases = {{64, 150}, {-128, 70}, {0, 40}, {5000, 30}};
+        c.passes = 2;
+        return std::make_unique<ChangingStrideScan>(c);
+    };
+    auto pattern = [] {
+        DistancePatternWalk::Config c;
+        c.regionPages = 40;
+        c.steps = 60;
+        c.refsPerStep = 5;
+        c.passes = 3;
+        c.noise = 0.3;
+        return std::make_unique<DistancePatternWalk>(c);
+    };
+    auto history = [] {
+        HistoryLoop::Config c;
+        c.footprintPages = 32;
+        c.seqLen = 40;
+        c.refsPerStep = 9;
+        c.passes = 2;
+        c.burstiness = 0.4;
+        return std::make_unique<HistoryLoop>(c);
+    };
+    auto alternating = [](std::uint32_t refs_per_step) {
+        AlternatingPermutations::Config c;
+        c.numPages = 20;
+        c.rounds = 4;
+        c.refsPerStep = refs_per_step;
+        return std::make_unique<AlternatingPermutations>(c);
+    };
+    auto zipf = [] {
+        ZipfMix::Config c;
+        c.numPages = 16;
+        c.steps = 80;
+        c.refsPerStep = 6;
+        return std::make_unique<ZipfMix>(c);
+    };
+    auto list = [](auto... streams) {
+        std::vector<std::unique_ptr<RefStream>> out;
+        (out.push_back(std::move(streams)), ...);
+        return out;
+    };
+
+    std::vector<std::pair<std::string,
+                          std::function<std::unique_ptr<RefStream>()>>>
+        shapes;
+    shapes.emplace_back("trace", [&] {
+        return std::make_unique<TraceReader>(_path);
+    });
+    shapes.emplace_back("take(vector)", [&] {
+        return std::make_unique<TakeStream>(vec(1, 900), 700);
+    });
+    shapes.emplace_back("skip(vector)", [&] {
+        return std::make_unique<SkipStream>(vec(2, 900), 333);
+    });
+    shapes.emplace_back("interleave(vector,shuffled,pattern)", [&] {
+        return std::make_unique<InterleaveStream>(
+            list(vec(3, 500), shuffled(), pattern()),
+            std::vector<std::uint32_t>{5, 17, 3});
+    });
+    shapes.emplace_back("concat(...)", [&] {
+        return std::make_unique<ConcatStream>(
+            list(std::make_unique<TakeStream>(zipf(), 400),
+                 std::make_unique<SkipStream>(history(), 100),
+                 changing(), backwards(), alternating(0),
+                 alternating(7)));
+    });
+    shapes.emplace_back("take(skip(interleave(concat,trace)))", [&] {
+        return std::make_unique<TakeStream>(
+            std::make_unique<SkipStream>(
+                std::make_unique<InterleaveStream>(
+                    list(std::make_unique<ConcatStream>(
+                             list(pattern(), zipf())),
+                         std::make_unique<TraceReader>(_path)),
+                    std::vector<std::uint32_t>{64, 1}),
+                50),
+            1500);
+    });
+    shapes.emplace_back("paced(interleave(...))", [&] {
+        return std::make_unique<PaceStream>(
+            std::make_unique<InterleaveStream>(
+                list(history(), changing(), vec(4, 300)),
+                std::vector<std::uint32_t>{2, 9, 4}),
+            2.5);
+    });
+
+    std::uint64_t seed = 1;
+    for (const auto &[what, make] : shapes) {
+        std::vector<MemRef> oracle = test::drainRefs(*make());
+        ASSERT_FALSE(oracle.empty()) << what;
+        for (std::uint64_t page : test::runTestPageSizes()) {
+            for (int trial = 0; trial < 3; ++trial) {
+                test::expectRunsMatch(*make(), oracle, page, seed++,
+                                      trial > 0, what);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
 }
 
 TEST_F(TraceFileTest, MissingFileIsFatal)

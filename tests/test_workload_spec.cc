@@ -12,7 +12,9 @@
 #include <stdexcept>
 
 #include "run/sweep_engine.hh"
+#include "run_oracle.hh"
 #include "sim/experiment.hh"
+#include "trace/adaptors.hh"
 #include "trace/trace_file.hh"
 #include "workload/app_registry.hh"
 #include "workload/workload_spec.hh"
@@ -580,6 +582,49 @@ TEST(StreamBatching, NextBatchMatchesNextOnEveryWorkloadShape)
         }
         EXPECT_TRUE(got_refs == expected)
             << text << ": interleaved next/nextBatch diverges";
+    }
+}
+
+/**
+ * nextRuns() against the nextBatch() oracle on every stream shape the
+ * workload layer builds: all 56 app models (between them every
+ * generator, the adaptors and the pacing wrapper), mixes, a trace and
+ * shard windows (the Skip+Take a shard cell replays), at every run
+ * test page size, under seeded random chunkings with and without
+ * nextBatch() calls interleaved.
+ */
+TEST(StreamRuns, ExpandToNextBatchOnEveryWorkloadShape)
+{
+    constexpr std::uint64_t kRefs = 3000;
+    std::vector<std::string> specs;
+    for (const AppModel &app : appRegistry())
+        specs.push_back(app.name);
+    specs.push_back("mix:mcf+gcc@500");
+    specs.push_back("mix:art+swim+vpr@77");
+    specs.push_back("trace:" + kSampleTrace);
+    specs.push_back("galgel#2/5");
+    specs.push_back("mix:mcf+gcc@500#1/3");
+
+    auto window = [&](const WorkloadSpec &spec) {
+        auto [begin, end] = spec.shardWindow(kRefs);
+        return std::make_unique<TakeStream>(
+            std::make_unique<SkipStream>(spec.base().build(kRefs),
+                                         begin),
+            end - begin);
+    };
+    std::uint64_t seed = 1;
+    for (const std::string &text : specs) {
+        WorkloadSpec spec = WorkloadSpec::parse(text);
+        std::vector<MemRef> oracle = test::drainRefs(*window(spec));
+        ASSERT_FALSE(oracle.empty()) << text;
+        for (std::uint64_t page : test::runTestPageSizes()) {
+            for (bool interleave : {false, true}) {
+                test::expectRunsMatch(*window(spec), oracle, page,
+                                      seed++, interleave, text);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
     }
 }
 
