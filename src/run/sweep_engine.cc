@@ -41,7 +41,7 @@ cellKey(const SweepJob &job)
     if (job.mode == JobMode::Timed) {
         char timing[96];
         std::snprintf(timing, sizeof(timing),
-                      "|timed:cpi=%.17g,miss=%llu,mem=%llu",
+                      "|cycles:cpi=%.17g,miss=%llu,mem=%llu",
                       job.timing.baseCpi,
                       static_cast<unsigned long long>(
                           job.timing.missPenalty),

@@ -236,42 +236,24 @@ std::string
 encodeCounters(const SimResult &counters)
 {
     JsonObjectWriter out;
-    out.u64("refs", counters.refs);
-    out.u64("misses", counters.misses);
-    out.u64("pb_hits", counters.pbHits);
-    out.u64("demand_fetches", counters.demandFetches);
-    out.u64("prefetches_issued", counters.prefetchesIssued);
-    out.u64("prefetches_suppressed", counters.prefetchesSuppressed);
-    out.u64("state_ops", counters.stateOps);
-    out.u64("pb_evicted_unused", counters.pbEvictedUnused);
-    out.u64("footprint_pages", counters.footprintPages);
-    out.u64("context_switches", counters.contextSwitches);
+    for (const SimCounter &counter : kSimCounters)
+        out.u64(counter.name, counters.*counter.member);
     return out.take();
 }
 
 SimResult
 decodeCounters(const JsonValue &object)
 {
-    requireKnownKeys(object, "counters",
-                     {"refs", "misses", "pb_hits", "demand_fetches",
-                      "prefetches_issued", "prefetches_suppressed",
-                      "state_ops", "pb_evicted_unused",
-                      "footprint_pages", "context_switches"});
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> all;
+        for (const SimCounter &counter : kSimCounters)
+            all.emplace_back(counter.name);
+        return all;
+    }();
+    requireKnownKeys(object, "counters", names);
     SimResult counters;
-    counters.refs = object.at("refs").asU64();
-    counters.misses = object.at("misses").asU64();
-    counters.pbHits = object.at("pb_hits").asU64();
-    counters.demandFetches = object.at("demand_fetches").asU64();
-    counters.prefetchesIssued =
-        object.at("prefetches_issued").asU64();
-    counters.prefetchesSuppressed =
-        object.at("prefetches_suppressed").asU64();
-    counters.stateOps = object.at("state_ops").asU64();
-    counters.pbEvictedUnused =
-        object.at("pb_evicted_unused").asU64();
-    counters.footprintPages = object.at("footprint_pages").asU64();
-    counters.contextSwitches =
-        object.at("context_switches").asU64();
+    for (const SimCounter &counter : kSimCounters)
+        counters.*counter.member = object.at(counter.name).asU64();
     return counters;
 }
 

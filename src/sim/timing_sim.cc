@@ -1,117 +1,121 @@
 #include "sim/timing_sim.hh"
 
+#include <algorithm>
 #include <cmath>
+
+#include "mem/prefetch_channel.hh"
 
 namespace tlbpf
 {
 
-TimingSimulator::TimingSimulator(const SimConfig &config,
-                                 const TimingConfig &timing,
-                                 const MechanismSpec &spec)
-    : _config(config),
-      _timing(timing),
-      _tlb(config.tlb),
-      _buffer(config.pbEntries),
-      _channel(timing.memOpCost),
-      _prefetcher(spec.build(_pt))
+namespace
 {
-}
 
-void
-TimingSimulator::process(const MemRef &ref)
+/**
+ * The cycle model as a back-end clock.  Time at a reference is its
+ * compute progress plus every stall so far; it is read once as the
+ * reference arrives at the back-end and holds for everything that
+ * reference triggers.
+ */
+class CycleClock
 {
-    ++_result.functional.refs;
-    _lastIcount = ref.icount;
-    Vpn vpn = ref.vpn(_config.pageBytes);
+  public:
+    static constexpr bool kPerReference = true;
 
-    if (_tlb.access(vpn))
-        return;
+    explicit CycleClock(const TimingConfig &timing)
+        : _timing(timing), _channel(timing.memOpCost)
+    {
+    }
 
-    ++_result.functional.misses;
-    _pt.lookup(vpn);
+    void reference(std::uint64_t icount) { _icount = icount; }
+    void arrive() { _now = computeCycles() + _result.stallCycles; }
 
-    // Current time: compute progress plus every stall so far.
-    Tick now = static_cast<Tick>(std::llround(
-                   static_cast<double>(ref.icount) * _timing.baseCpi)) +
-               _result.stallCycles;
-
-    Tick ready_at = 0;
-    bool pb_hit = _buffer.hitAndPromote(vpn, ready_at);
-    if (pb_hit) {
-        ++_result.functional.pbHits;
-        if (ready_at > now) {
+    void
+    bufferHit(Tick ready_at)
+    {
+        if (ready_at > _now) {
             // Prefetch still in flight: stall until it lands.
-            _result.stallCycles += ready_at - now;
+            _result.stallCycles += ready_at - _now;
             ++_result.inFlightHits;
         }
-    } else {
-        ++_result.functional.demandFetches;
+    }
+
+    void
+    demandFetch()
+    {
         // The demand fetch is delayed by in-flight prefetch traffic.
-        Tick start = std::max(now, _channel.busyUntil());
-        Tick done = start + _timing.missPenalty;
-        _result.stallCycles += done - now;
+        Tick start = std::max(_now, _channel.busyUntil());
+        _result.stallCycles += start + _timing.missPenalty - _now;
     }
 
-    std::optional<Vpn> evicted = _tlb.insert(vpn);
+    bool busy() const { return _channel.busyAt(_now); }
 
-    if (!_prefetcher)
-        return;
-
-    // The RP benefit-of-the-doubt rule keys off whether earlier
-    // prefetch traffic is still outstanding when this miss arrives.
-    bool busy_at_miss = _channel.busyAt(now);
-
-    _decision.clear();
-    TlbMiss miss{vpn, ref.pc, pb_hit, evicted.value_or(kNoPage)};
-    _prefetcher->onMiss(miss, _decision);
-
-    if (_decision.stateOps > 0) {
-        _channel.issue(now, _decision.stateOps);
-        _result.functional.stateOps += _decision.stateOps;
-        _result.memoryOps += _decision.stateOps;
-    }
-
-    if (busy_at_miss && _prefetcher->dropPrefetchesWhenBusy()) {
-        _result.prefetchesSkippedBusy += _decision.targets.size();
-        return;
-    }
-
-    for (Vpn target : _decision.targets) {
-        if (target == vpn || _tlb.contains(target) ||
-            _buffer.contains(target)) {
-            ++_result.functional.prefetchesSuppressed;
-            continue;
+    void
+    stateOps(unsigned ops)
+    {
+        if (ops > 0) {
+            _channel.issue(_now, ops);
+            _result.memoryOps += ops;
         }
-        PrefetchChannel::Issue issue = _channel.issue(now, 1);
-        _buffer.insert(target, issue.done);
-        ++_result.functional.prefetchesIssued;
+    }
+
+    void
+    skipped(std::size_t targets)
+    {
+        _result.prefetchesSkippedBusy += targets;
+    }
+
+    /** When a prefetch issued now would land. */
+    Tick
+    prefetchReady() const
+    {
+        return std::max(_now, _channel.busyUntil()) + _channel.opCost();
+    }
+
+    void
+    prefetchIssued()
+    {
+        _channel.issue(_now, 1);
         ++_result.memoryOps;
     }
-}
 
-const TimingResult &
-TimingSimulator::result()
-{
-    _result.functional.footprintPages = _pt.size();
-    _result.functional.pbEvictedUnused = _buffer.evictedUnused();
-    _result.computeCycles = static_cast<Tick>(std::llround(
-        static_cast<double>(_lastIcount) * _timing.baseCpi));
-    _result.cycles = _result.computeCycles + _result.stallCycles;
-    return _result;
-}
+    TimingResult
+    result(const SimResult &functional) const
+    {
+        TimingResult r = _result;
+        r.functional = functional;
+        r.computeCycles = computeCycles();
+        r.cycles = r.computeCycles + r.stallCycles;
+        return r;
+    }
+
+  private:
+    Tick
+    computeCycles() const
+    {
+        return static_cast<Tick>(std::llround(
+            static_cast<double>(_icount) * _timing.baseCpi));
+    }
+
+    TimingConfig _timing;
+    PrefetchChannel _channel;
+    TimingResult _result;
+    /** The latest reference's instruction count. */
+    std::uint64_t _icount = 0;
+    Tick _now = 0;
+};
+
+} // namespace
 
 TimingResult
 simulateTimed(const SimConfig &config, const TimingConfig &timing,
               const MechanismSpec &spec, RefStream &stream)
 {
-    TimingSimulator sim(config, timing, spec);
-    std::vector<MemRef> block(kSimBatchRefs);
-    std::size_t got;
-    while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
-        for (std::size_t i = 0; i < got; ++i)
-            sim.process(block[i]);
-    }
-    return sim.result();
+    FrontEnd<CycleClock> core(config,
+                              std::span<const MechanismSpec>(&spec, 1),
+                              CycleClock(timing));
+    core.feed(stream, UINT64_MAX);
+    return core.back(0).clock().result(core.result(0));
 }
 
 } // namespace tlbpf

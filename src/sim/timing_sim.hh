@@ -1,7 +1,10 @@
 /**
  * @file
  * Timing simulator — the sim-outorder analogue behind the paper's
- * Table 3 (normalised execution cycles, RP vs DP).
+ * Table 3 (normalised execution cycles, RP vs DP).  It is the
+ * simulator core (sim/core.hh) with one back-end whose clock counts
+ * cycles, fed one reference at a time for each reference's
+ * instruction count.
  *
  * Cycle model, following Section 3.2 exactly:
  *  - the CPU retires instructions at a base CPI; time advances with the
@@ -18,19 +21,21 @@
  *  - RP's benefit of the doubt: if earlier prefetch traffic is still in
  *    flight at miss time, RP performs only its (up to) 4 pointer
  *    updates and skips the 2 neighbour fetches.
+ *
+ * Because the front-end is shared with the functional simulator, the
+ * SimConfig ablations apply here too: a context switch flushes the
+ * TLB, the buffer and the prefetcher (the channel keeps its in-flight
+ * traffic), and under trainOnAllRefs the prefetches a hit triggers go
+ * through the same channel.  So the functional counters of a timed
+ * run equal simulate()'s for every mechanism that never drops
+ * prefetches when busy.
  */
 
 #ifndef TLBPF_SIM_TIMING_SIM_HH
 #define TLBPF_SIM_TIMING_SIM_HH
 
-#include <memory>
-
-#include "mem/page_table.hh"
-#include "mem/prefetch_channel.hh"
 #include "prefetch/mech_spec.hh"
 #include "sim/functional_sim.hh"
-#include "tlb/prefetch_buffer.hh"
-#include "tlb/tlb.hh"
 #include "trace/ref_stream.hh"
 
 namespace tlbpf
@@ -57,33 +62,6 @@ struct TimingResult
 
     /** Counter-for-counter equality (bit-identity assertions). */
     bool operator==(const TimingResult &other) const = default;
-};
-
-/** Stepping timing simulator. */
-class TimingSimulator
-{
-  public:
-    TimingSimulator(const SimConfig &config, const TimingConfig &timing,
-                    const MechanismSpec &spec);
-
-    void process(const MemRef &ref);
-
-    /** Counters so far. */
-    const TimingResult &result();
-
-    const PrefetchChannel &channel() const { return _channel; }
-
-  private:
-    SimConfig _config;
-    TimingConfig _timing;
-    PageTable _pt;
-    Tlb _tlb;
-    PrefetchBuffer _buffer;
-    PrefetchChannel _channel;
-    std::unique_ptr<Prefetcher> _prefetcher;
-    PrefetchDecision _decision;
-    TimingResult _result;
-    std::uint64_t _lastIcount = 0;
 };
 
 /** Run a stream to exhaustion under the timing model. */

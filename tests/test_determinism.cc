@@ -32,16 +32,10 @@ constexpr std::uint64_t kRefs = 50000;
 std::vector<std::uint64_t>
 counters(const SimResult &r)
 {
-    return {r.refs,
-            r.misses,
-            r.pbHits,
-            r.demandFetches,
-            r.prefetchesIssued,
-            r.prefetchesSuppressed,
-            r.stateOps,
-            r.pbEvictedUnused,
-            r.footprintPages,
-            r.contextSwitches};
+    std::vector<std::uint64_t> all;
+    for (const SimCounter &counter : kSimCounters)
+        all.push_back(r.*counter.member);
+    return all;
 }
 
 std::vector<std::uint64_t>
@@ -284,6 +278,76 @@ TEST(Checkpoint, MismatchedRestoreThrows)
     // Not a checkpoint at all.
     EXPECT_THROW(third.restore(SimState{{1, 2, 3}}),
                  std::invalid_argument);
+}
+
+/** 64-bit FNV-1a of @p bytes. */
+std::uint64_t
+fnv1a64(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::uint8_t byte : bytes)
+        hash = (hash ^ byte) * 0x100000001b3ull;
+    return hash;
+}
+
+/**
+ * Checkpoint bytes are a persistent format: a --cache-dir store keeps
+ * them across builds, so no change to the simulator may move a byte
+ * without a kSnapshotVersion bump.  Each digest is of snapshot() after
+ * 50k references fed as simulate() feeds them, taken the way a shard
+ * chain takes it (result(), then snapshot()), at the default geometry
+ * and at a 4-way 64-entry TLB with context switches.
+ */
+TEST(Checkpoint, SnapshotBytesMatchGoldenDigests)
+{
+    struct Golden
+    {
+        const char *app;
+        const char *mech;
+        bool switching;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {"mcf", "none", false, 0x57564c326ea8ef31ull},
+        {"mcf", "RP", false, 0x21d8a19249b32b48ull},
+        {"mcf", "DP,256,D", false, 0xe0e20cb9125aba64ull},
+        {"mcf", "MP,256,F", false, 0x7a6d926c52ce5931ull},
+        {"mcf", "ASP,32,F", false, 0x7853cad0d6f29b7eull},
+        {"mcf", "SP", false, 0xc4e667cd6d0ad501ull},
+        {"mcf", "none", true, 0x95fbcfb169a90c33ull},
+        {"mcf", "RP", true, 0xd8f83eeacd9fa939ull},
+        {"mcf", "DP,256,D", true, 0xc3c5301e3e276096ull},
+        {"mcf", "MP,256,F", true, 0x67759a3d08fdc0e9ull},
+        {"mcf", "ASP,32,F", true, 0xbcfcc5ae547ee52cull},
+        {"mcf", "SP", true, 0x89bd1f9c1384574bull},
+        {"galgel", "none", false, 0x4db582225ae856b2ull},
+        {"galgel", "RP", false, 0x94921fd52ccc399dull},
+        {"galgel", "DP,256,D", false, 0x2aa42a4b08198ca7ull},
+        {"galgel", "MP,256,F", false, 0xb5fc446dd965127full},
+        {"galgel", "ASP,32,F", false, 0xfe1e698468c2648bull},
+        {"galgel", "SP", false, 0x15d4468dccd8c12dull},
+        {"galgel", "none", true, 0x50dd9ee67ec57254ull},
+        {"galgel", "RP", true, 0xac3783fa540dfa9eull},
+        {"galgel", "DP,256,D", true, 0x7ca538f9a2271f09ull},
+        {"galgel", "MP,256,F", true, 0x643fb3704f1154d4ull},
+        {"galgel", "ASP,32,F", true, 0x06b87a856e7dffa2ull},
+        {"galgel", "SP", true, 0xcaf9fb088da8edafull},
+    };
+    SimConfig switching;
+    switching.tlb = TlbConfig{64, 4};
+    switching.contextSwitchInterval = 30001;
+    for (const Golden &golden : goldens) {
+        FunctionalSimulator sim(golden.switching ? switching : SimConfig{},
+                                MechanismSpec::parse(golden.mech));
+        auto stream = buildApp(golden.app, kRefs);
+        ASSERT_EQ(sim.feed(*stream, kRefs), kRefs);
+        sim.result();
+        std::uint64_t digest = fnv1a64(sim.snapshot().bytes);
+        EXPECT_EQ(digest, golden.digest)
+            << golden.app << " under " << golden.mech
+            << (golden.switching ? ", 64/4 TLB, switching" : "")
+            << ": digest 0x" << std::hex << digest << "ull";
+    }
 }
 
 /**

@@ -269,7 +269,8 @@ TEST(FunctionalSim, PageSizeChangesFootprint)
 /**
  * The per-reference oracle every split or run-driven path is checked
  * against: FunctionalSimulator::process() on each reference of a
- * nextBatch() drain, no page runs and no shared front-end anywhere.
+ * nextBatch() drain, so no page runs and a front-end with a single
+ * back-end that shares its page table.
  * Snapshots are taken after every reference count in @p cuts (and
  * at the end) when the mechanism is checkpointable.
  */

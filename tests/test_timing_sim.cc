@@ -2,13 +2,16 @@
  * @file
  * Tests for the timing simulator's cycle accounting: the constant miss
  * penalty, in-flight prefetch stalls, channel contention, and RP's
- * benefit-of-the-doubt rule.
+ * benefit-of-the-doubt rule; and differential checks of whole timed
+ * results against the per-reference oracle (timing_oracle.hh) and of
+ * their functional counters against simulate().
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
 #include "sim/timing_sim.hh"
+#include "timing_oracle.hh"
 #include "trace/ref_stream.hh"
 #include "workload/app_registry.hh"
 
@@ -187,14 +190,53 @@ TEST(TimingSim, MemOpCostScalesChannelPressure)
     EXPECT_LT(fast.cycles, slow.cycles);
 }
 
-TEST(TimingSim, FunctionalCountersMatchFunctionalSimWithoutPrefetch)
+/**
+ * The timed cell runs on the functional simulator's front-end and
+ * back-end, so for every mechanism that never drops prefetches when
+ * the channel is busy its functional counters are simulate()'s,
+ * whole, under context switches and hit training as well.
+ */
+TEST(TimingSim, FunctionalCountersMatchFunctionalSim)
 {
-    auto stream1 = buildApp("gcc", 100000);
-    auto stream2 = buildApp("gcc", 100000);
-    SimResult functional =
-        simulate(SimConfig{}, spec("none"), *stream1);
-    TimingResult timed = simulateTimed(SimConfig{}, TimingConfig{},
-                                       spec("none"), *stream2);
+    std::vector<SimConfig> configs(3);
+    configs[1].contextSwitchInterval = 30001;
+    configs[2].trainOnAllRefs = true;
+    constexpr std::uint64_t kRefs = 100000;
+    for (const SimConfig &config : configs) {
+        for (const std::string &app : table3Apps()) {
+            for (const char *mech : {"none", "MP,256,D", "DP,256,D",
+                                     "ASP,256,D", "SP", "hybrid(dp+sp)"}) {
+                auto s1 = buildApp(app, kRefs);
+                auto s2 = buildApp(app, kRefs);
+                SimResult functional = simulate(config, spec(mech), *s1);
+                TimingResult timed = simulateTimed(
+                    config, TimingConfig{}, spec(mech), *s2);
+                EXPECT_EQ(timed.functional, functional)
+                    << app << " under " << mech << ", switch interval "
+                    << config.contextSwitchInterval << ", all refs "
+                    << config.trainOnAllRefs;
+            }
+        }
+    }
+}
+
+/**
+ * RP drops prefetches when the channel is busy, so its prefetch
+ * counters differ from simulate()'s; its references, misses and
+ * context switches do not.
+ */
+TEST(TimingSim, RpSeesTheFunctionalSwitches)
+{
+    SimConfig config;
+    config.contextSwitchInterval = 30001;
+    auto s1 = buildApp("ammp", 100000);
+    auto s2 = buildApp("ammp", 100000);
+    SimResult functional = simulate(config, spec("RP"), *s1);
+    TimingResult timed =
+        simulateTimed(config, TimingConfig{}, spec("RP"), *s2);
+    EXPECT_EQ(functional.contextSwitches, 3u);
+    EXPECT_EQ(timed.functional.contextSwitches,
+              functional.contextSwitches);
     EXPECT_EQ(timed.functional.refs, functional.refs);
     EXPECT_EQ(timed.functional.misses, functional.misses);
 }
@@ -209,25 +251,69 @@ TEST(TimingSim, PrefetchingSpeedsUpStridedApp)
     EXPECT_LT(dp.cycles, base.cycles);
 }
 
-TEST(TimingSim, BatchedRunMatchesPerReferenceLoop)
+/**
+ * Whole TimingResults against the stand-alone per-reference oracle,
+ * within its scope (no context switches, no hit training): every
+ * Table 3 app under every mechanism family, at the default geometry
+ * and at the differential geometries that fit that scope.
+ */
+void
+expectTimedMatchesOracle(const SimConfig &config, const TimingConfig &timing,
+                         const std::string &app, std::uint64_t refs,
+                         const char *mech)
 {
-    // simulateTimed reads the stream in blocks; stepping the same
-    // references through process() one at a time must agree exactly.
-    const std::string &app = table3Apps().front();
-    constexpr std::uint64_t kRefs = 150000;
-    for (const char *mech : {"RP", "DP,256,D"}) {
-        auto batched_stream = buildApp(app, kRefs);
-        TimingResult batched = simulateTimed(
-            SimConfig{}, TimingConfig{}, spec(mech), *batched_stream);
+    auto s1 = buildApp(app, refs);
+    auto s2 = buildApp(app, refs);
+    TimingResult timed = simulateTimed(config, timing, spec(mech), *s1);
+    TimingResult oracle =
+        test::oracleTimed(config, timing, spec(mech), *s2);
+    EXPECT_TRUE(timed == oracle)
+        << app << " under " << mech << ", tlb " << config.tlb.entries
+        << "/" << config.tlb.assoc << " pb " << config.pbEntries
+        << " page " << config.pageBytes << ": cycles " << timed.cycles
+        << " vs " << oracle.cycles << ", stalls " << timed.stallCycles
+        << " vs " << oracle.stallCycles << ", memory ops "
+        << timed.memoryOps << " vs " << oracle.memoryOps << ", skipped "
+        << timed.prefetchesSkippedBusy << " vs "
+        << oracle.prefetchesSkippedBusy;
+}
 
-        auto stream = buildApp(app, kRefs);
-        TimingSimulator stepped(SimConfig{}, TimingConfig{}, spec(mech));
-        MemRef ref;
-        while (stream->next(ref))
-            stepped.process(ref);
-        EXPECT_TRUE(batched == stepped.result()) << app << " " << mech;
-        EXPECT_EQ(batched.functional.refs, kRefs) << mech;
-    }
+const char *const kOracleMechs[] = {"none", "RP", "DP,256,D", "MP,256,F",
+                                    "ASP,32,F", "SP",
+                                    "hybrid(dp+rp+sp(adaptive))"};
+
+TEST(TimingSim, MatchesPerReferenceOracleOnTable3Apps)
+{
+    for (const std::string &app : table3Apps())
+        for (const char *mech : kOracleMechs)
+            expectTimedMatchesOracle(SimConfig{}, TimingConfig{}, app,
+                                     150000, mech);
+}
+
+TEST(TimingSim, MatchesPerReferenceOracleAcrossGeometries)
+{
+    std::vector<SimConfig> configs;
+    auto add = [&](auto &&edit) {
+        SimConfig config;
+        edit(config);
+        configs.push_back(config);
+    };
+    add([](SimConfig &c) { c.tlb = TlbConfig{64, 4}; });
+    add([](SimConfig &c) { c.tlb = TlbConfig{256, 2}; });
+    add([](SimConfig &c) { c.pbEntries = 1; });
+    add([](SimConfig &c) { c.pageBytes = 8192; });
+    add([](SimConfig &c) { c.pageBytes = 12288; }); // not a power of 2
+    TimingConfig slow_channel;
+    slow_channel.memOpCost = 300;
+    for (const SimConfig &config : configs)
+        for (const char *app : {"mcf", "ammp"})
+            for (const char *mech : kOracleMechs)
+                expectTimedMatchesOracle(config, TimingConfig{}, app,
+                                         40000, mech);
+    // A backed-up channel: demand fetches wait and buffer hits stall.
+    for (const char *mech : kOracleMechs)
+        expectTimedMatchesOracle(SimConfig{}, slow_channel, "vpr", 40000,
+                                 mech);
 }
 
 } // namespace
