@@ -15,16 +15,26 @@
  * A spec that parses but breaks a round-trip would give one
  * experiment two cache identities (or two experiments one), so the
  * harness aborts on it like any crash.
+ *
+ * A mechanism that parses must also run: the harness builds it and
+ * feeds it a few misses that evict pages from the TLB, so a spec the
+ * grammar accepts but the simulator cannot execute (two RP children
+ * sharing one recency stack, say) aborts here rather than inside a
+ * service.  Specs with large prediction tables skip that step to keep
+ * an iteration cheap.
  */
 
 #include "harness.hh"
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "mem/page_table.hh"
 #include "prefetch/mech_spec.hh"
+#include "prefetch/prefetcher.hh"
 #include "workload/workload_spec.hh"
 
 namespace
@@ -52,6 +62,39 @@ checkWorkload(const std::string &text)
                          again.label());
 }
 
+/** True when no (nested) mechanism asks for more than 4096 rows. */
+bool
+smallTables(const tlbpf::MechanismSpec &spec)
+{
+    for (const auto &[key, value] : spec.params)
+        if (key == "rows" && std::stoull(value) > 4096)
+            return false;
+    for (const tlbpf::MechanismSpec &child : spec.children)
+        if (!smallTables(child))
+            return false;
+    return true;
+}
+
+void
+runMechanism(const tlbpf::MechanismSpec &spec)
+{
+    if (!smallTables(spec))
+        return;
+    tlbpf::PageTable pt;
+    std::unique_ptr<tlbpf::Prefetcher> prefetcher = spec.build(pt);
+    if (!prefetcher)
+        return; // "none"
+    tlbpf::PrefetchDecision decision;
+    for (tlbpf::Vpn vpn = 1; vpn <= 4; ++vpn) {
+        decision = tlbpf::PrefetchDecision{};
+        tlbpf::TlbMiss miss;
+        miss.vpn = vpn;
+        miss.pc = 0x400000 + 4 * vpn;
+        miss.evictedVpn = vpn + 16;
+        prefetcher->onMiss(miss, decision);
+    }
+}
+
 void
 checkMechanism(const std::string &text)
 {
@@ -66,6 +109,7 @@ checkMechanism(const std::string &text)
     if (legend.canonical() != canonical)
         roundTripFailure("MechanismSpec label", text, label,
                          legend.canonical());
+    runMechanism(spec);
 }
 
 } // namespace

@@ -56,6 +56,8 @@ SPEC_SEEDS = {
     "asq": "sp(adaptive)",
     "rp": "rp(reach=2)",
     "hybrid": "hybrid(dp+sp)",
+    "hybrid_two_rp": "hybrid(rp+rp(reach=2))",
+    "rp_wide": "rp(reach=3)",
     "label_dp": "DP,256,D",
     "alias": "markov",
 }

@@ -21,7 +21,7 @@
  * A cell the worker cannot run (e.g. a trace path that only exists on
  * the server's filesystem) is answered with a cell_result error frame
  * and the server requeues it local-only.  A lost connection triggers
- * reconnect-with-backoff; the server reclaims the dead session's
+ * a reconnect after a pause; the server reclaims the dead session's
  * leases immediately, so a kill -9 mid-lease costs latency, never a
  * batch.
  */
@@ -49,7 +49,7 @@ struct DispatchWorkerOptions
     std::string cacheDir;
     std::size_t checkpointCapacity = 256;
     std::uint64_t idlePollMs = 20;   ///< sleep between idle leases
-    std::uint64_t reconnectMs = 500; ///< backoff between connects
+    std::uint64_t reconnectMs = 500; ///< pause between connects
     /** Give up after this many failed connects in a row (0 = never). */
     std::uint64_t maxReconnectAttempts = 0;
 };
@@ -61,7 +61,7 @@ class DispatchWorker
 
     /**
      * Serve until requestStop() — connect, register, pull leases;
-     * reconnect with backoff whenever the server goes away.  Returns
+     * reconnect after a pause whenever the server goes away.  Returns
      * normally on stop, throws TransportError only when the connect
      * retry budget (maxReconnectAttempts) is exhausted.
      */

@@ -114,6 +114,26 @@ HybridPrefetcher::restoreState(SnapshotReader &in)
         child->restoreState(in);
 }
 
+namespace
+{
+
+/**
+ * RP mechanisms in @p spec, counted through nested hybrids.  Every RP
+ * threads the same recency stack through the page table the cell
+ * builds it against, so two of them in one hybrid would push each
+ * page twice.
+ */
+std::size_t
+countRecencyChildren(const MechanismSpec &spec)
+{
+    std::size_t count = spec.name == "rp";
+    for (const MechanismSpec &child : spec.children)
+        count += countRecencyChildren(child);
+    return count;
+}
+
+} // namespace
+
 void
 registerHybridMechanism(MechanismRegistry &registry)
 {
@@ -131,6 +151,11 @@ registerHybridMechanism(MechanismRegistry &registry)
                 throw std::invalid_argument(
                     "hybrid child 'none' prefetches nothing; drop it "
                     "from the child list");
+        if (countRecencyChildren(spec) > 1)
+            throw std::invalid_argument(
+                "hybrid '" + spec.label() +
+                "' has more than one rp child; they would share the "
+                "page table's one recency stack, so keep at most one");
     };
     hybrid.build = [](const MechanismSpec &spec, PageTable &pt) {
         std::vector<std::unique_ptr<Prefetcher>> children;

@@ -774,7 +774,8 @@ registerBuiltins(MechanismRegistry &registry)
                      "through the page table, Saulsbury et al.)";
         rp.aliases = {{"recency", "rp"}};
         rp.params = {MechParam::makeUInt(
-            "reach", "stack neighbours prefetched per side", 1, 1, 8)};
+            "reach", "stack neighbours prefetched per side", 1, 1,
+            RecencyStack::kMaxNeighbors / 2)};
         rp.build = [](const MechanismSpec &spec, PageTable &pt) {
             return std::unique_ptr<Prefetcher>(
                 std::make_unique<RecencyPrefetcher>(

@@ -22,7 +22,7 @@
  * on a near-zero-miss app and ~10x on a 25%-miss one (one stream
  * pass, then per-miss work for every mechanism) — so a job also
  * knows its own rough relative cost (costWeight()), which the engine
- * feeds to the thread pool's weighted work-stealing scheduler.
+ * feeds to the thread pool so the heaviest cells start first.
  */
 
 #ifndef TLBPF_RUN_JOB_HH
@@ -90,13 +90,14 @@ struct SweepJob
 
     /**
      * Relative execution-cost estimate of this cell, in "references
-     * simulated" units, for the pool's weighted scheduler.  A plain
+     * simulated" units, that orders the pool's hand-out.  A plain
      * cell costs its reference budget; a `spec#k/N` shard costs its
      * stream position at window end (replay warm-up simulates the
      * whole prefix [0, begin) before recording the window); a timed
-     * cell pays the cycle model's constant factor.  Only relative
-     * magnitudes matter — stealing corrects what the estimate gets
-     * wrong — so the estimate stays deliberately crude.
+     * cell pays the cycle model's constant factor.  Only the order
+     * it induces matters — a cell no other thread has started yet
+     * goes to whichever thread frees up first — so the estimate stays
+     * deliberately crude.
      */
     std::uint64_t
     costWeight() const

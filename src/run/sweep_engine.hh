@@ -26,10 +26,10 @@
  * Determinism: every job owns its entire simulation state (stream,
  * TLB, buffer, prefetcher, RNG) and writes only its own slot, so
  * results are bit-identical to a serial run for any thread count,
- * worker count, pass mode or warm-up mode.  Units are weighted for
- * the pool's longest-processing-time placement (costWeight() x count
- * for cells and groups, the whole budget for a chain); neither the
- * placement nor any steal interleaving can change a result byte.
+ * worker count, pass mode or warm-up mode.  Units are weighted so
+ * the pool hands them out heaviest first (costWeight() x count for
+ * cells and groups, the whole budget for a chain); neither that
+ * order nor any interleaving can change a result byte.
  *
  * A job that cannot run (zero reference budget, unknown application
  * model, unreadable trace file, malformed mix, a sharded timing cell)
@@ -348,9 +348,8 @@ class SweepEngine
 
     /**
      * Scheduler telemetry of the most recent run()/runSharded()
-     * batch: per-worker job counts and busy time, steal/backoff
-     * events, and the LPT placement imbalance.  Valid until the next
-     * batch starts.
+     * batch: per-worker job counts and busy time, and the measured
+     * busy-time imbalance.  Valid until the next batch starts.
      */
     const ThreadPool::BatchStats &
     lastBatchStats() const

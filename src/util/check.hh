@@ -5,11 +5,11 @@
  *
  * tlbpf_assert (logging.hh) is for invariants cheap enough to keep in
  * every build.  TLBPF_DCHECK is the tier below it: checks that sit on
- * hot paths (the work-stealing deque, the ordered-emission frontier,
- * the lease state machine, snapshot restore) where the cost is only
- * acceptable in builds that exist to find bugs.  The macros compile
- * to nothing unless TLBPF_ENABLE_DCHECKS is defined, which the build
- * system does for Debug builds, every TLBPF_SANITIZE flavor, and the
+ * hot paths (the thread pool's job count, the ordered-emission
+ * frontier, the lease state machine, snapshot restore) where the cost
+ * is only acceptable in builds that exist to find bugs.  The macros
+ * compile to nothing unless TLBPF_ENABLE_DCHECKS is defined, which the
+ * build system does for Debug builds, every TLBPF_SANITIZE flavor, and
  * fuzz harnesses (see the top-level CMakeLists) — so a sanitizer run
  * checks the logical invariants *and* the memory/race ones in a
  * single pass, and plain Release carries zero overhead.

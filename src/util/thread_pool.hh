@@ -1,47 +1,27 @@
 /**
  * @file
- * A fixed-size worker pool with a work-stealing scheduler for
- * deterministic fan-out.
+ * A fixed-size worker pool for deterministic fan-out.
  *
- * The pool exposes two primitives:
+ * A batch is one shared order of its indices, and every thread (the
+ * calling thread participates as worker 0) takes the next position
+ * from one atomic cursor until the order runs out.  parallelFor's
+ * order is the identity.  parallelForWeighted's is the indices stably
+ * sorted by descending weight, ties in index order: handing the
+ * heaviest remaining index to whichever thread frees up first is
+ * longest-processing-time list scheduling, so a 50x cell starts at
+ * once instead of alone at the tail.  A pool of 1 spawns no workers
+ * and walks the order inline.
  *
- *   parallelFor(n, fn)                   invoke fn(i) for every index
- *                                        in [0, n), assuming all
- *                                        indices cost about the same
- *   parallelForWeighted(n, weights, fn)  the same, with a per-index
- *                                        relative cost estimate that
- *                                        seeds the schedule
+ * Determinism is the *caller's* contract: fn must write only to
+ * per-index state (e.g. slot i of a pre-sized results vector), so the
+ * outcome is identical for any thread count and any interleaving.  If
+ * fn throws, the remaining indices still run and the exception from
+ * the lowest index is rethrown on the calling thread after the batch
+ * drains.  The callable is taken by const reference through a
+ * function-pointer thunk, so a batch allocates nothing for it.
  *
- * Scheduling: every thread (the calling thread participates as worker
- * 0) owns a Chase–Lev-style WorkDeque.  Batch indices are placed into
- * the deques up front — round-robin for uniform batches, a
- * longest-processing-time greedy placement (heaviest index to the
- * least-loaded worker) for weighted ones — and each worker drains its
- * own deque LIFO from the bottom, heaviest first.  A worker whose
- * deque runs dry *steals* the oldest (lightest) index from a
- * randomized sequence of victims, so tail imbalance — one worker
- * stuck with a 50x cell while the others idle — self-corrects.  When
- * every deque is dry but jobs are still in flight, the thief backs
- * off exponentially (yield, then escalating micro-sleeps) instead of
- * burning a core.
- *
- * Determinism is the *caller's* contract exactly as before: fn must
- * write only to per-index state (e.g. slot i of a pre-sized results
- * vector), so the outcome is identical for any thread count and any
- * steal interleaving, including a pool of 1 — which spawns no workers
- * and drains the (single) deque inline.  Exceptions thrown by fn are
- * captured and the one with the lowest index is rethrown on the
- * calling thread after the batch drains, which keeps error reporting
- * deterministic under stealing too; every per-index slot is still
- * written.  The callable is taken by const reference all the way down
- * (a function-pointer thunk, not std::function), so a batch
- * submission allocates nothing for the callable.
- *
- * Telemetry: the pool records per-worker executed-job counts, busy
- * time, steal counts and backoff events for the most recent batch,
- * plus the seeded-load imbalance of the LPT placement — see
- * BatchStats.  Reading lastBatchStats() is only valid between
- * batches.
+ * lastBatchStats() reports per-worker job counts and busy time of the
+ * most recent batch; it is only valid between batches.
  */
 
 #ifndef TLBPF_UTIL_THREAD_POOL_HH
@@ -51,44 +31,41 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "util/work_deque.hh"
-
 namespace tlbpf
 {
 
-/** Fixed-size worker pool with work-stealing parallel-for. */
+/** Fixed-size worker pool with a shared-cursor parallel-for. */
 class ThreadPool
 {
   public:
     /** Per-worker telemetry for the most recent batch. */
     struct WorkerStats
     {
-        std::uint64_t jobs = 0;     ///< indices this worker executed
-        std::uint64_t steals = 0;   ///< of which were stolen
-        std::uint64_t backoffs = 0; ///< dry sweeps over every deque
-        double busySeconds = 0;     ///< time spent inside fn
+        std::uint64_t jobs = 0; ///< indices this worker executed
+        double busySeconds = 0; ///< time spent inside fn
     };
 
     /** Whole-batch telemetry (see lastBatchStats()). */
     struct BatchStats
     {
-        std::size_t jobs = 0;      ///< batch size n
-        double seconds = 0;        ///< wall-clock of the batch
+        std::size_t jobs = 0; ///< batch size n
+        double seconds = 0;   ///< wall-clock of the batch
         /**
-         * Max over workers of seeded weight / ideal (total/threads):
-         * 1.0 is a perfectly balanced placement; stealing is what
-         * covers the gap between this estimate and reality.
+         * Measured imbalance: max busySeconds x threads / the sum of
+         * busySeconds.  1.0 means every worker was busy equally long.
          */
         double lptImbalance = 1.0;
         std::vector<WorkerStats> workers; ///< one per thread
 
-        std::uint64_t stealEvents() const;
-        std::uint64_t backoffEvents() const;
+        // Always 0: the cursor has no such events.  They stay only
+        // for the perfbench ladder rungs that print them, and ROADMAP
+        // item 1 retires both together with those rungs.
+        std::uint64_t stealEvents() const { return 0; }
+        std::uint64_t backoffEvents() const { return 0; }
         /** Min/max over workers of busySeconds / batch seconds. */
         double busyFractionMin() const;
         double busyFractionMax() const;
@@ -96,9 +73,7 @@ class ThreadPool
 
     /**
      * @param threads total concurrency including the calling thread;
-     *                0 selects defaultThreadCount().  A pool of size
-     *                1 spawns no workers at all and both primitives
-     *                run inline.
+     *                0 selects defaultThreadCount().
      */
     explicit ThreadPool(unsigned threads = 0);
 
@@ -110,12 +85,7 @@ class ThreadPool
     /** Concurrency (calling thread + workers). */
     unsigned threadCount() const { return _threads; }
 
-    /**
-     * Run fn(0) .. fn(n-1) across the pool and block until all have
-     * returned.  The calling thread participates.  If any invocation
-     * throws, the remaining indices still run and the lowest-index
-     * exception is rethrown here.
-     */
+    /** Run fn(0) .. fn(n-1), handed out in index order. */
     template <typename Fn>
     void
     parallelFor(std::size_t n, const Fn &fn)
@@ -124,22 +94,10 @@ class ThreadPool
     }
 
     /**
-     * parallelFor with a per-index relative cost estimate:
-     * @p weights[i] is the expected cost of fn(i) in any consistent
-     * unit (a zero weight is treated as 1).  The estimates seed the
-     * deques with an LPT placement so wildly uneven batches start
-     * balanced; stealing corrects whatever the estimate gets wrong.
-     * @p weights must stay valid until the call returns.
+     * Run fn(i) for every index of @p weights, handed out heaviest
+     * first, ties in index order.  weights[i] is the expected cost of
+     * fn(i) in any consistent unit; a zero weight counts as 1.
      */
-    template <typename Fn>
-    void
-    parallelForWeighted(std::size_t n, const std::uint64_t *weights,
-                        const Fn &fn)
-    {
-        runBatch(n, weights, &invokeThunk<Fn>, &fn);
-    }
-
-    /** Convenience: weights as a vector sized to the batch. */
     template <typename Fn>
     void
     parallelForWeighted(const std::vector<std::uint64_t> &weights,
@@ -149,11 +107,7 @@ class ThreadPool
                  &fn);
     }
 
-    /**
-     * Telemetry of the most recent batch.  Valid from the return of
-     * the batch that produced it until the next batch is submitted;
-     * never touch it concurrently with a running batch.
-     */
+    /** Telemetry of the most recent batch; read it between batches. */
     const BatchStats &lastBatchStats() const { return _stats; }
 
     /** std::thread::hardware_concurrency(), clamped to at least 1. */
@@ -170,62 +124,37 @@ class ThreadPool
         (*static_cast<const Fn *>(ctx))(index);
     }
 
-    /**
-     * One worker's scheduler state, padded so two workers never share
-     * a cache line of hot metadata.  Slot 0 belongs to the calling
-     * thread; slots 1.. to the spawned workers.
-     */
-    struct alignas(64) WorkerSlot
-    {
-        WorkDeque deque;
-        // Telemetry, written only by the owning worker during a
-        // batch and read by the caller after the drain.
-        std::uint64_t jobs = 0;
-        std::uint64_t steals = 0;
-        std::uint64_t backoffs = 0;
-        double busySeconds = 0;
-        // Lowest failing index this worker has seen, SIZE_MAX if
-        // none; exceptions are aggregated across slots after the
-        // batch so the lowest submission index wins globally.
-        std::size_t errorIndex =
-            std::numeric_limits<std::size_t>::max();
-        std::exception_ptr error;
-        std::uint64_t rng = 0; ///< xorshift state for victim choice
-        std::vector<std::size_t> seed; ///< LPT staging, reused
-    };
-
     void runBatch(std::size_t n, const std::uint64_t *weights,
                   BatchThunk invoke, const void *ctx);
-    void seedDeques(std::size_t n, const std::uint64_t *weights);
-    void schedLoop(unsigned self);
-    void runOne(unsigned self, std::size_t index, bool stolen);
-    bool stealOne(unsigned self, std::size_t &index);
+    void drain(unsigned self);
     void workerLoop(unsigned self);
-    void collectStats(std::size_t n, double seconds);
-    void rethrowLowestIndexError();
 
     unsigned _threads;
     std::vector<std::thread> _workers;
-    std::vector<WorkerSlot> _slots; ///< one per thread, 0 = caller
 
     std::mutex _mutex;
     std::condition_variable _wake; ///< workers wait for a batch
     std::condition_variable _done; ///< caller waits for the drain
 
-    // In-flight batch state.  _generation bumps once per batch so
-    // sleeping workers can tell a new batch from a spurious wakeup;
-    // _remaining counts not-yet-finished indices and doubles as the
-    // batch-done signal for thieves in backoff.
+    // The batch, written by the caller and published under _mutex;
+    // _generation bumps once per batch so a sleeping worker can tell a
+    // new batch from a spurious wakeup.
     std::uint64_t _generation = 0;
     bool _stopping = false;
+    unsigned _active = 0; ///< workers still inside the current batch
     BatchThunk _invoke = nullptr;
     const void *_ctx = nullptr;
-    std::atomic<std::size_t> _remaining{0};
-    unsigned _active = 0; ///< workers still inside the current batch
+    std::size_t _size = 0;
+    const std::size_t *_order = nullptr; ///< null: identity order
+    std::vector<std::size_t> _weightedOrder;
+    alignas(64) std::atomic<std::size_t> _cursor{0};
 
+    // Lowest failing index so far (guarded by _mutex), and its error.
+    std::size_t _errorIndex = 0;
+    std::exception_ptr _error;
+
+    // workers[w] is written only by worker w (0 = caller) in a batch.
     BatchStats _stats;
-    std::vector<std::uint64_t> _loads; ///< LPT scratch, reused
-    std::vector<std::size_t> _order;   ///< LPT scratch, reused
 };
 
 } // namespace tlbpf

@@ -384,11 +384,11 @@ TEST(Checkpoint, ShardWarmupModesPreserveCsvBytes)
 /**
  * The scheduler-hostile shape: a couple of 8-shard checkpoint chains
  * (each a long serialized task) surrounded by trivial cells an order
- * of magnitude cheaper.  The LPT seeding and any steal interleaving
- * it provokes must not change a single CSV byte across thread counts,
- * in either warm-up mode.  The plan is hand-built so only the heavy
- * cells fan out — expandShards() would shard the trivial cells too
- * and flatten the skew this test exists to cover.
+ * of magnitude cheaper.  The heaviest-first order and any
+ * interleaving it provokes must not change a single CSV byte across
+ * thread counts, in either warm-up mode.  The plan is hand-built so
+ * only the heavy cells fan out — expandShards() would shard the
+ * trivial cells too and flatten the skew this test exists to cover.
  */
 TEST(ParallelDeterminism, SkewedShardChainBatchIsThreadCountInvariant)
 {

@@ -49,7 +49,7 @@ TEST(MechSpecRoundTrip, CanonicalRoundTrips)
 {
     for (const char *text :
          {"none", "sp", "sp(degree=2)", "sp(adaptive)", "rp",
-          "rp(reach=4)", "dp", "dp(rows=512,assoc=4w)",
+          "rp(reach=2)", "dp", "dp(rows=512,assoc=4w)",
           "mp(rows=64,slots=4)", "asp(rows=32)", "hybrid(dp+sp)",
           "hybrid(dp(rows=64)+rp+sp(adaptive))"}) {
         MechanismSpec spec = MechanismSpec::parse(text);
@@ -209,11 +209,41 @@ TEST(MechSpecErrors, MalformedHybridChildListThrows)
     }
 }
 
+/**
+ * Every RP threads the same page table's recency stack, so a hybrid
+ * may hold at most one, counted through nested hybrids.
+ */
+TEST(MechSpecErrors, HybridWithMoreThanOneRpThrows)
+{
+    for (const char *bad :
+         {"hybrid(rp+rp(reach=2))", "hybrid(rp+rp)", "hybrid(RP+RP,4)",
+          "hybrid(dp+recency+rp)", "hybrid(rp+hybrid(dp+rp))",
+          "hybrid(sp+hybrid(rp+hybrid(dp+rp(reach=2))))"}) {
+        EXPECT_THROW(MechanismSpec::parse(bad), std::invalid_argument)
+            << "'" << bad << "'";
+    }
+    for (const char *good :
+         {"hybrid(dp+rp)", "hybrid(rp+hybrid(dp+sp))",
+          "hybrid(sp+hybrid(dp+rp(reach=2)))"}) {
+        EXPECT_NO_THROW(MechanismSpec::parse(good)) << "'" << good << "'";
+    }
+}
+
 TEST(MechSpecErrors, RpLegendFieldMustBeEven)
 {
     EXPECT_EQ(MechanismSpec::parse("RP,4").uintParam("reach"), 2u);
     EXPECT_THROW(MechanismSpec::parse("RP,3"), std::invalid_argument);
     EXPECT_THROW(MechanismSpec::parse("RP,0"), std::invalid_argument);
+}
+
+/** The recency stack records at most two neighbours per side. */
+TEST(MechSpecErrors, RpReachBeyondTheStackNeighbourhoodThrows)
+{
+    EXPECT_EQ(MechanismSpec::parse("rp(reach=2)").label(), "RP,4");
+    for (const char *bad : {"rp(reach=3)", "rp(reach=8)", "RP,6"}) {
+        EXPECT_THROW(MechanismSpec::parse(bad), std::invalid_argument)
+            << "'" << bad << "'";
+    }
 }
 
 TEST(MechSpecErrors, HandAssembledSpecsAreValidated)
@@ -243,6 +273,8 @@ TEST(MechSpecDeathTest, ParseMechanismOrDieExitsOneWithMessage)
                 ::testing::ExitedWithCode(1), "must be in");
     EXPECT_EXIT((void)parseMechanismListOrDie("hybrid(dp)"),
                 ::testing::ExitedWithCode(1), "children");
+    EXPECT_EXIT((void)parseMechanismOrDie("hybrid(rp+rp(reach=2))"),
+                ::testing::ExitedWithCode(1), "more than one rp child");
 }
 
 // -------------------------------------------------- registry openness

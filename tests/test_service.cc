@@ -751,6 +751,45 @@ TEST(Server, EndToEndSweepCacheAndResilience)
     serving2.join();
 }
 
+/**
+ * A hybrid with two RP children parses on the wire, but both would
+ * thread the one page table's recency stack.  The server must answer
+ * it with an error frame instead of aborting, and keep serving.
+ */
+TEST(Server, DoubleRecencyHybridGetsAnErrorFrameAndServingContinues)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 2;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    SweepRequest request;
+    request.workloads = {"app:mcf"};
+    request.mechanisms = {"hybrid(rp+rp(reach=2))"};
+    request.refs = kRefs;
+    {
+        OwnedFd raw = rawConnect(server.port());
+        writeFrame(raw.fd(), request.encode());
+        JsonValue message;
+        std::string type;
+        ASSERT_TRUE(readMessage(raw.fd(), message, type));
+        EXPECT_EQ(type, "error");
+        EXPECT_NE(message.at("message").asString().find("rp child"),
+                  std::string::npos)
+            << message.at("message").asString();
+    }
+
+    request.mechanisms = {"hybrid(dp+rp)"};
+    ServiceClient::SweepOutcome next =
+        ServiceClient("127.0.0.1", server.port()).sweep(request);
+    EXPECT_EQ(next.done.cells, 1u);
+    EXPECT_EQ(next.done.simulated, 1u);
+
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
 TEST(Server, ShardedRequestsShareCheckpointsAcrossRequests)
 {
     ServerOptions options;

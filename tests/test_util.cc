@@ -2,15 +2,13 @@
  * @file
  * Unit tests for the utility substrate: logging, RNG, bit helpers,
  * CLI parsing, CSV quoting, the ASCII table printer, and the
- * work-stealing deque underneath the thread pool.
+ * TLBPF_DCHECK invariant layer.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "util/bits.hh"
@@ -20,7 +18,6 @@
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/table_printer.hh"
-#include "util/work_deque.hh"
 
 namespace tlbpf
 {
@@ -288,100 +285,6 @@ TEST(TablePrinter, ArityMismatchPanics)
     EXPECT_DEATH(table.addRow({"only-one"}), "row arity");
 }
 
-TEST(WorkDeque, OwnerPopsLifoThievesStealFifo)
-{
-    WorkDeque dq;
-    dq.reset(6);
-    for (std::size_t i = 0; i < 6; ++i)
-        dq.push(i);
-
-    std::size_t out = 0;
-    // Owner works newest-first...
-    ASSERT_TRUE(dq.pop(out));
-    EXPECT_EQ(out, 5u);
-    // ...while thieves drain oldest-first from the other end.
-    ASSERT_TRUE(dq.steal(out));
-    EXPECT_EQ(out, 0u);
-    ASSERT_TRUE(dq.steal(out));
-    EXPECT_EQ(out, 1u);
-    ASSERT_TRUE(dq.pop(out));
-    EXPECT_EQ(out, 4u);
-    ASSERT_TRUE(dq.pop(out));
-    EXPECT_EQ(out, 3u);
-    ASSERT_TRUE(dq.steal(out));
-    EXPECT_EQ(out, 2u);
-    EXPECT_TRUE(dq.empty());
-    EXPECT_FALSE(dq.pop(out));
-    EXPECT_FALSE(dq.steal(out));
-}
-
-TEST(WorkDeque, ResetReusesAndClears)
-{
-    WorkDeque dq;
-    dq.reset(3);
-    dq.push(7);
-    dq.push(8);
-    dq.reset(3); // must discard the leftovers
-    EXPECT_TRUE(dq.empty());
-    std::size_t out = 0;
-    EXPECT_FALSE(dq.steal(out));
-    dq.push(9);
-    ASSERT_TRUE(dq.pop(out));
-    EXPECT_EQ(out, 9u);
-}
-
-/**
- * The race the scheduler lives on: one owner popping while several
- * thieves steal concurrently.  Every seeded index must be consumed
- * exactly once — no loss, no duplication — including the
- * last-element owner-vs-thief CAS race, which thousands of elements
- * across repeated rounds exercise reliably.
- */
-TEST(WorkDeque, ConcurrentStealsConsumeEveryIndexExactlyOnce)
-{
-    constexpr std::size_t kElems = 20000;
-    constexpr int kThieves = 3;
-    WorkDeque dq;
-    for (int round = 0; round < 3; ++round) {
-        dq.reset(kElems);
-        for (std::size_t i = 0; i < kElems; ++i)
-            dq.push(i);
-
-        std::vector<std::atomic<std::uint32_t>> hits(kElems);
-        for (auto &h : hits)
-            h = 0;
-        std::atomic<std::size_t> consumed{0};
-
-        std::vector<std::thread> thieves;
-        for (int t = 0; t < kThieves; ++t) {
-            thieves.emplace_back([&] {
-                std::size_t out = 0;
-                while (consumed.load() < kElems) {
-                    if (dq.steal(out)) {
-                        ++hits[out];
-                        ++consumed;
-                    } else {
-                        std::this_thread::yield();
-                    }
-                }
-            });
-        }
-        std::size_t out = 0;
-        while (dq.pop(out)) {
-            ++hits[out];
-            ++consumed;
-        }
-        for (std::thread &t : thieves)
-            t.join();
-
-        EXPECT_EQ(consumed.load(), kElems) << "round " << round;
-        for (std::size_t i = 0; i < kElems; ++i)
-            ASSERT_EQ(hits[i].load(), 1u)
-                << "index " << i << " in round " << round;
-        EXPECT_TRUE(dq.empty());
-    }
-}
-
 // ------------------------------------- TLBPF_DCHECK invariant layer
 
 TEST(Check, PassingChecksAreSilent)
@@ -431,82 +334,6 @@ TEST(Check, ScopedThrowRestoresThePreviousHandlerOnExit)
         }
         // The outer scope's throwing handler is back in place.
         EXPECT_THROW(TLBPF_DCHECK(false), CheckFailure);
-    }
-}
-
-/**
- * Seeding-time contract violations the scheduler must never commit:
- * pushing into a deque that was never sized, and pushing more than
- * the reset() capacity (which would silently overwrite an unclaimed
- * index and lose a job).
- */
-TEST(WorkDeque, PushBeforeResetTripsTheInvariant)
-{
-    if (!dchecksEnabled())
-        GTEST_SKIP() << "TLBPF_DCHECK is compiled out of this build";
-    ScopedCheckFailThrow guard;
-    WorkDeque dq;
-    EXPECT_THROW(dq.push(0), CheckFailure);
-}
-
-TEST(WorkDeque, PushBeyondResetCapacityTripsTheInvariant)
-{
-    if (!dchecksEnabled())
-        GTEST_SKIP() << "TLBPF_DCHECK is compiled out of this build";
-    ScopedCheckFailThrow guard;
-    WorkDeque dq;
-    dq.reset(4); // ring rounds up to exactly 4 slots
-    for (std::size_t i = 0; i < 4; ++i)
-        dq.push(i);
-    EXPECT_THROW(dq.push(4), CheckFailure);
-    // Draining frees the slots again; refilling is legal.
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        ASSERT_TRUE(dq.pop(out));
-    dq.reset(4);
-    dq.push(0);
-}
-
-/**
- * The one-element owner-vs-thief race, re-run many times with the
- * checking handler installed: exactly one side may win, and the
- * pop-side invariant (a lost CAS means top passed the claim) must
- * hold in every interleaving.
- */
-TEST(WorkDeque, OneElementRaceHasExactlyOneWinnerUnderChecking)
-{
-    ScopedCheckFailThrow guard;
-    WorkDeque dq;
-    std::atomic<int> check_failures{0};
-    for (int round = 0; round < 2000; ++round) {
-        dq.reset(1);
-        dq.push(static_cast<std::size_t>(round));
-
-        std::atomic<bool> go{false};
-        bool thief_won = false;
-        std::thread thief([&] {
-            std::size_t out = 0;
-            while (!go.load())
-                std::this_thread::yield();
-            try {
-                thief_won = dq.steal(out);
-            } catch (const CheckFailure &) {
-                check_failures.fetch_add(1);
-            }
-        });
-        std::size_t out = 0;
-        bool owner_won = false;
-        go.store(true);
-        try {
-            owner_won = dq.pop(out);
-        } catch (const CheckFailure &) {
-            check_failures.fetch_add(1);
-        }
-        thief.join();
-
-        ASSERT_EQ(check_failures.load(), 0) << "round " << round;
-        ASSERT_NE(owner_won, thief_won) << "round " << round;
-        EXPECT_TRUE(dq.empty());
     }
 }
 
