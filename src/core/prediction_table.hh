@@ -142,7 +142,7 @@ class PredictionTable
         if (victim->valid) {
             ++_evictions;
             if (_wide.enabled())
-                _wide.remove(_rows, slotOf(victim));
+                _wide.remove(victim->key, slotOf(victim));
         }
         victim->valid = true;
         victim->key = key;
@@ -306,7 +306,7 @@ class PredictionTable
     findRow(std::uint64_t key)
     {
         if (_wide.enabled()) {
-            std::uint32_t slot = _wide.find(_rows, key);
+            std::uint32_t slot = _wide.find(key);
             return slot == Index::kNoSlot ? nullptr : &_rows[slot];
         }
         std::size_t base = setBase(key);

@@ -16,13 +16,14 @@ namespace
 /** Map bucket sentinel for "no entry hashed here". */
 constexpr std::uint32_t kEmptySlot = UINT32_MAX;
 
-/** Initial bucket count; grown by doubling to keep load under 50%. */
-constexpr std::size_t kInitialBuckets = 1024;
+/** log2 of the initial bucket count; grown by doubling. */
+constexpr unsigned kInitialMapBits = 10;
 
 } // namespace
 
 PageTable::PageTable()
-    : _map(kInitialBuckets, kEmptySlot)
+    : _map(std::size_t{1} << kInitialMapBits, kEmptySlot),
+      _mapBits(kInitialMapBits)
 {
 }
 
@@ -30,8 +31,8 @@ std::size_t
 PageTable::probe(Vpn vpn) const
 {
     std::size_t mask = _map.size() - 1;
-    std::size_t b = hashKey(vpn) & mask;
-    while (_map[b] != kEmptySlot && _pool[_map[b]].vpn != vpn)
+    std::size_t b = hashBucket(vpn, _mapBits);
+    while (_map[b] != kEmptySlot && slot(_map[b]).vpn != vpn)
         b = (b + 1) & mask;
     return b;
 }
@@ -39,13 +40,15 @@ PageTable::probe(Vpn vpn) const
 void
 PageTable::grow()
 {
-    std::vector<std::uint32_t> bigger(_map.size() * 2, kEmptySlot);
+    ++_mapBits;
+    std::vector<std::uint32_t> bigger(std::size_t{1} << _mapBits,
+                                      kEmptySlot);
     std::size_t mask = bigger.size() - 1;
-    for (std::size_t idx = 0; idx < _pool.size(); ++idx) {
-        std::size_t b = hashKey(_pool[idx].vpn) & mask;
+    for (std::uint32_t idx = 0; idx < _size; ++idx) {
+        std::size_t b = hashBucket(slot(idx).vpn, _mapBits);
         while (bigger[b] != kEmptySlot)
             b = (b + 1) & mask;
-        bigger[b] = static_cast<std::uint32_t>(idx);
+        bigger[b] = idx;
     }
     _map.swap(bigger);
 }
@@ -55,42 +58,43 @@ PageTable::lookup(Vpn vpn)
 {
     std::size_t b = probe(vpn);
     if (_map[b] != kEmptySlot)
-        return _pool[_map[b]].pte;
-    if ((_pool.size() + 1) * 2 > _map.size()) {
+        return slot(_map[b]).pte;
+    if ((std::size_t{_size} + 1) * 2 > _map.size()) {
         grow();
         b = probe(vpn);
     }
-    if (_pool.size() >= kEmptySlot)
+    if (_size >= kEmptySlot)
         tlbpf_fatal("page table footprint exceeds 2^32 - 1 pages");
-    _map[b] = static_cast<std::uint32_t>(_pool.size());
-    Slot &slot = _pool.emplace_back();
-    slot.vpn = vpn;
+    if ((_size >> kChunkBits) == _chunks.size())
+        _chunks.push_back(std::make_unique<Slot[]>(kChunkMask + 1));
+    _map[b] = _size;
+    Slot &fresh = slot(_size++);
     // Deterministic pseudo-random frame assignment; the frame value
     // itself never feeds back into prefetching decisions.
-    slot.pte.pfn = mix64(vpn) & ((1ull << 40) - 1);
-    return slot.pte;
+    fresh = Slot{vpn, PageTableEntry{mix64(vpn) & ((1ull << 40) - 1)}};
+    return fresh.pte;
 }
 
 const PageTableEntry *
 PageTable::find(Vpn vpn) const
 {
     std::size_t b = probe(vpn);
-    return _map[b] == kEmptySlot ? nullptr : &_pool[_map[b]].pte;
+    return _map[b] == kEmptySlot ? nullptr : &slot(_map[b]).pte;
 }
 
 PageTableEntry *
 PageTable::find(Vpn vpn)
 {
     std::size_t b = probe(vpn);
-    return _map[b] == kEmptySlot ? nullptr : &_pool[_map[b]].pte;
+    return _map[b] == kEmptySlot ? nullptr : &slot(_map[b]).pte;
 }
 
 std::size_t
 PageTable::unionSize(const PageTable &other) const
 {
     std::size_t pages = size();
-    for (const Slot &slot : other._pool)
-        if (!find(slot.vpn))
+    for (std::uint32_t idx = 0; idx < other._size; ++idx)
+        if (!find(other.slot(idx).vpn))
             ++pages;
     return pages;
 }
@@ -98,17 +102,18 @@ PageTable::unionSize(const PageTable &other) const
 void
 PageTable::clear()
 {
-    _pool.clear();
-    _map.assign(kInitialBuckets, kEmptySlot);
+    _size = 0;
+    _mapBits = kInitialMapBits;
+    _map.assign(std::size_t{1} << kInitialMapBits, kEmptySlot);
 }
 
 void
 PageTable::snapshotState(SnapshotWriter &out) const
 {
     std::vector<const Slot *> slots;
-    slots.reserve(_pool.size());
-    for (const Slot &slot : _pool)
-        slots.push_back(&slot);
+    slots.reserve(_size);
+    for (std::uint32_t idx = 0; idx < _size; ++idx)
+        slots.push_back(&slot(idx));
     std::sort(slots.begin(), slots.end(),
               [](const Slot *a, const Slot *b) {
                   return a->vpn < b->vpn;

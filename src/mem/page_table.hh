@@ -14,8 +14,7 @@
 #define TLBPF_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <deque>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "trace/ref_stream.hh"
@@ -59,7 +58,7 @@ class PageTable
     PageTableEntry *find(Vpn vpn);
 
     /** Number of PTEs materialised (the footprint in pages). */
-    std::size_t size() const { return _pool.size(); }
+    std::size_t size() const { return _size; }
 
     /** Pages materialised in this table, @p other, or both. */
     std::size_t unionSize(const PageTable &other) const;
@@ -89,23 +88,44 @@ class PageTable
         PageTableEntry pte;
     };
 
+    /** log2 of the entries per pool chunk. */
+    static constexpr unsigned kChunkBits = 9;
+    static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
+
+    /** Pool entry @p idx (< size()). */
+    Slot &slot(std::uint32_t idx)
+    {
+        return _chunks[idx >> kChunkBits][idx & kChunkMask];
+    }
+    const Slot &slot(std::uint32_t idx) const
+    {
+        return _chunks[idx >> kChunkBits][idx & kChunkMask];
+    }
+
     /** Map bucket holding @p vpn, or the empty bucket it would use. */
     std::size_t probe(Vpn vpn) const;
     /** Double the bucket array and rehome every pool index. */
     void grow();
 
     /**
-     * Entry pool plus an open-addressing vpn -> pool-index map (linear
-     * probing, load kept under 50%).  A deque grows without relocating
-     * elements, so the PageTableEntry references lookup()/find() hand
-     * out stay valid for the table's lifetime — RecencyStack holds one
-     * across further lookups.  Replaces unordered_map: translation is
-     * on the per-miss path, and RP's stack maintenance does several
-     * translations per miss, so the node-chasing bucket lists showed
-     * up hard in the simulate-loop profile.
+     * Entry pool plus an open-addressing vpn -> pool-index map
+     * (Fibonacci hashing, linear probing, load kept under 50%).
+     * Translation is on the per-miss path, and RP's stack maintenance
+     * does several translations per miss, so a probe is one bucket
+     * load and one pool load: a pool index splits into a chunk and an
+     * offset by a shift and a mask.  The pool grows a fixed-size
+     * chunk at a time and never relocates an entry, so the
+     * PageTableEntry references lookup()/find() hand out stay valid
+     * for the table's lifetime; RecencyStack holds one across further
+     * lookups.  Buckets hold only the 4-byte index: the VPN stays in
+     * the pool, which keeps the map a quarter of the size.  clear()
+     * keeps the chunks for reuse.
      */
-    std::deque<Slot> _pool;
+    std::vector<std::unique_ptr<Slot[]>> _chunks;
+    std::uint32_t _size = 0;
     std::vector<std::uint32_t> _map;
+    /** log2 of the bucket count. */
+    unsigned _mapBits;
 };
 
 /**

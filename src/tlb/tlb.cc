@@ -48,7 +48,7 @@ std::uint32_t
 Tlb::findSlot(Vpn vpn) const
 {
     if (_wide.enabled())
-        return _wide.find(_entries, vpn);
+        return _wide.find(vpn);
     std::size_t base = setIndex(vpn);
     for (std::size_t w = 0; w < _ways; ++w) {
         const Entry &e = _entries[base + w];
@@ -90,28 +90,36 @@ Tlb::contains(Vpn vpn) const
 std::optional<Vpn>
 Tlb::insert(Vpn vpn)
 {
-    tlbpf_assert(!contains(vpn), "double insert of VPN ", vpn);
+    // A resident @p vpn is caught without a probe of its own: the
+    // narrow scan below visits every way, and in a wide set it is
+    // either the victim or on the chain the index's add() walks.
     std::size_t base = setIndex(vpn);
     std::uint32_t slot = kNoSlot;
     if (_wide.enabled()) {
         slot = _wide.victim(_entries, base);
     } else {
+        std::uint32_t lru = kNoSlot;
         for (std::size_t w = 0; w < _ways; ++w) {
             const Entry &e = _entries[base + w];
             if (!e.valid) {
-                slot = static_cast<std::uint32_t>(base + w);
-                break;
+                if (slot == kNoSlot)
+                    slot = static_cast<std::uint32_t>(base + w);
+                continue;
             }
-            if (slot == kNoSlot || e.lastUse < _entries[slot].lastUse)
-                slot = static_cast<std::uint32_t>(base + w);
+            tlbpf_assert(e.vpn != vpn, "double insert of VPN ", vpn);
+            if (lru == kNoSlot || e.lastUse < _entries[lru].lastUse)
+                lru = static_cast<std::uint32_t>(base + w);
         }
+        if (slot == kNoSlot)
+            slot = lru;
     }
     Entry &victim = _entries[slot];
     std::optional<Vpn> evicted;
     if (victim.valid) {
+        tlbpf_assert(victim.vpn != vpn, "double insert of VPN ", vpn);
         evicted = victim.vpn;
         if (_wide.enabled())
-            _wide.remove(_entries, slot);
+            _wide.remove(victim.vpn, slot);
     } else {
         ++_resident;
     }
@@ -131,7 +139,7 @@ Tlb::invalidate(Vpn vpn)
     if (slot == kNoSlot)
         return false;
     if (_wide.enabled())
-        _wide.remove(_entries, slot);
+        _wide.remove(vpn, slot);
     _entries[slot].valid = false;
     --_resident;
     return true;

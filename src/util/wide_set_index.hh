@@ -10,16 +10,19 @@
  * of hundreds of rows per reference or per miss.  WideSetIndex
  * replaces both scans with O(1) work:
  *
- *  - an open-addressing key -> slot index (splitmix64 hash, linear
- *    probing, backward-shift deletion, so lookups need no
- *    tombstones);
+ *  - an open-addressing key -> slot index (Fibonacci hashing,
+ *    linear probing, backward-shift deletion, so lookups need no
+ *    tombstones) whose buckets carry the key beside the slot, so
+ *    neither a probe step nor a rehome loads the owner's row;
  *  - per-set intrusive recency lists kept in the same order as the
  *    rows' lastUse clocks, so the LRU victim is the list tail.
  *
  * It is pure acceleration.  The owner's rows (key, lastUse, valid)
  * stay authoritative and are all the owner serializes; after a
  * restore the owner calls rebuild(), which derives the index and the
- * lists from the rows.  Replacement picks exactly the slot the
+ * lists from the rows.  add() refuses a key the index already holds,
+ * which is the owner's double-insert check for free: the probe walks
+ * the key's whole chain anyway.  Replacement picks exactly the slot the
  * per-set scan would: free ways in way order, else the unique
  * minimum-clock row.  Sets narrower than kIndexMinWays are cheaper to
  * scan than to hash, so for them the index stays disabled and the
@@ -49,9 +52,9 @@ inline constexpr std::uint32_t kIndexMinWays = 16;
  *             `std::uint64_t lastUse` members.
  * @tparam Key pointer to the row's std::uint64_t key member.
  *
- * Rows are laid out set-major: slot s belongs to set s / ways.  Every
- * call that reads keys takes the owner's rows, so the index holds no
- * pointer into them and the owner stays freely copyable.
+ * Rows are laid out set-major: slot s belongs to set s / ways.  The
+ * calls that read rows take them as an argument, so the index holds
+ * no pointer into them and the owner stays freely copyable.
  */
 template <typename Row, auto Key>
 class WideSetIndex
@@ -70,10 +73,10 @@ class WideSetIndex
             return;
         // A power-of-two capacity at least 4x the row count keeps the
         // load factor under 25%, so linear probes terminate quickly.
-        std::size_t cap = 64;
-        while (cap < sets * ways * 4)
-            cap *= 2;
-        _buckets.assign(cap, kNoSlot);
+        _bits = 6;
+        while ((std::size_t{1} << _bits) < sets * ways * 4)
+            ++_bits;
+        _buckets.assign(std::size_t{1} << _bits, Bucket{});
         _links.assign(sets * ways, Link{});
         _sets.assign(sets, SetLru{});
     }
@@ -83,13 +86,13 @@ class WideSetIndex
 
     /** Slot of the valid row holding @p key, or kNoSlot. */
     std::uint32_t
-    find(const std::vector<Row> &rows, std::uint64_t key) const
+    find(std::uint64_t key) const
     {
         std::size_t mask = _buckets.size() - 1;
-        std::size_t b = hashKey(key) & mask;
-        while (_buckets[b] != kNoSlot) {
-            if (rows[_buckets[b]].*Key == key)
-                return _buckets[b];
+        std::size_t b = hashBucket(key, _bits);
+        while (_buckets[b].slot != kNoSlot) {
+            if (_buckets[b].key == key)
+                return _buckets[b].slot;
             b = (b + 1) & mask;
         }
         return kNoSlot;
@@ -123,31 +126,31 @@ class WideSetIndex
 
     /**
      * Start tracking @p slot, just filled with @p key and the newest
-     * use clock.
+     * use clock.  Panics if another slot already holds @p key.
      */
     void
     add(std::uint64_t key, std::uint32_t slot)
     {
         std::size_t mask = _buckets.size() - 1;
-        std::size_t b = hashKey(key) & mask;
-        while (_buckets[b] != kNoSlot)
+        std::size_t b = hashBucket(key, _bits);
+        while (_buckets[b].slot != kNoSlot) {
+            tlbpf_assert(_buckets[b].key != key, "double insert of key ",
+                         key);
             b = (b + 1) & mask;
-        _buckets[b] = slot;
+        }
+        _buckets[b] = Bucket{key, slot};
         pushFront(slot);
         ++_sets[setOf(slot)].resident;
     }
 
-    /**
-     * Stop tracking the valid row in @p slot.  Call before the owner
-     * invalidates or overwrites it: the row's key is what locates it.
-     */
+    /** Stop tracking @p slot, the valid row holding @p key. */
     void
-    remove(const std::vector<Row> &rows, std::uint32_t slot)
+    remove(std::uint64_t key, std::uint32_t slot)
     {
         std::size_t mask = _buckets.size() - 1;
-        std::size_t b = hashKey(rows[slot].*Key) & mask;
-        while (_buckets[b] != slot) {
-            tlbpf_assert(_buckets[b] != kNoSlot,
+        std::size_t b = hashBucket(key, _bits);
+        while (_buckets[b].slot != slot) {
+            tlbpf_assert(_buckets[b].slot != kNoSlot,
                          "wide-set index missing slot ", slot,
                          " on remove");
             b = (b + 1) & mask;
@@ -156,15 +159,15 @@ class WideSetIndex
         // hole and rehome any element whose probe path crossed it.
         std::size_t hole = b;
         std::size_t i = (b + 1) & mask;
-        while (_buckets[i] != kNoSlot) {
-            std::size_t home = hashKey(rows[_buckets[i]].*Key) & mask;
+        while (_buckets[i].slot != kNoSlot) {
+            std::size_t home = hashBucket(_buckets[i].key, _bits);
             if (((i - home) & mask) >= ((i - hole) & mask)) {
                 _buckets[hole] = _buckets[i];
                 hole = i;
             }
             i = (i + 1) & mask;
         }
-        _buckets[hole] = kNoSlot;
+        _buckets[hole] = Bucket{};
         unlink(slot);
         --_sets[setOf(slot)].resident;
     }
@@ -173,7 +176,7 @@ class WideSetIndex
     void
     clear()
     {
-        std::fill(_buckets.begin(), _buckets.end(), kNoSlot);
+        std::fill(_buckets.begin(), _buckets.end(), Bucket{});
         std::fill(_links.begin(), _links.end(), Link{});
         std::fill(_sets.begin(), _sets.end(), SetLru{});
     }
@@ -206,6 +209,13 @@ class WideSetIndex
     }
 
   private:
+    /** One index bucket: a key and its row slot; empty at kNoSlot. */
+    struct Bucket
+    {
+        std::uint64_t key = 0;
+        std::uint32_t slot = kNoSlot;
+    };
+
     /** Intrusive recency-list links of one slot. */
     struct Link
     {
@@ -262,8 +272,10 @@ class WideSetIndex
     }
 
     std::uint32_t _ways;
-    /** Open-addressing buckets of row slots; empty when disabled. */
-    std::vector<std::uint32_t> _buckets;
+    /** log2 of the bucket count. */
+    unsigned _bits = 0;
+    /** Open-addressing buckets; empty when disabled. */
+    std::vector<Bucket> _buckets;
     std::vector<Link> _links;
     std::vector<SetLru> _sets;
 };

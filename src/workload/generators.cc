@@ -33,21 +33,30 @@ generatorRunShift(std::uint64_t page_bytes)
                                            : kNoPageShift;
 }
 
+/** |@p stride| as a Divisor (1 at stride 0, where none divides). */
+inline Divisor
+strideDivisor(std::int64_t stride)
+{
+    std::uint64_t magnitude = stride < 0
+                                  ? 0 - static_cast<std::uint64_t>(stride)
+                                  : static_cast<std::uint64_t>(stride);
+    return Divisor(std::max<std::uint64_t>(magnitude, 1));
+}
+
 /**
  * References a scan at @p stride makes from @p addr before it leaves
  * the page of @p addr (a power-of-two @p page_bytes); unbounded at
- * stride 0.
+ * stride 0.  @p magnitude is strideDivisor(stride).
  */
 inline std::uint64_t
-refsOnPage(Addr addr, std::int64_t stride, std::uint64_t page_bytes)
+refsOnPage(Addr addr, std::int64_t stride, const Divisor &magnitude,
+           std::uint64_t page_bytes)
 {
     std::uint64_t offset = addr & (page_bytes - 1);
     if (stride > 0)
-        return (page_bytes - 1 - offset) /
-                   static_cast<std::uint64_t>(stride) +
-               1;
+        return magnitude.quotient(page_bytes - 1 - offset) + 1;
     if (stride < 0)
-        return offset / (0 - static_cast<std::uint64_t>(stride)) + 1;
+        return magnitude.quotient(offset) + 1;
     return UINT64_MAX;
 }
 
@@ -82,7 +91,8 @@ wrapPage(std::int64_t page, Vpn base, std::uint64_t region)
 // StridedScan
 
 StridedScan::StridedScan(const Config &config)
-    : _config(config)
+    : _config(config), _stride(strideDivisor(config.strideBytes)),
+      _blockPages(std::max<std::uint64_t>(config.shuffleBlockPages, 1))
 {
     tlbpf_assert(_config.count > 0, "StridedScan needs count > 0");
     tlbpf_assert(_config.passes > 0, "StridedScan needs passes > 0");
@@ -118,8 +128,8 @@ StridedScan::remap(Addr vaddr) const
     Addr offset = vaddr - _config.base;
     Addr page = offset / kDefaultPageBytes;
     Addr in_page = offset % kDefaultPageBytes;
-    Addr block = page / _config.shuffleBlockPages;
-    Addr in_block = page % _config.shuffleBlockPages;
+    Addr block = _blockPages.quotient(page);
+    Addr in_block = page - block * _config.shuffleBlockPages;
     Addr new_page = static_cast<Addr>(_blockPerm[block]) *
                         _config.shuffleBlockPages +
                     in_block;
@@ -186,11 +196,12 @@ StridedScan::nextRuns(PageRun *buf, std::size_t n, std::uint64_t page_bytes,
         // 4 KiB page (remap() moves whole pages).
         std::uint64_t left = std::min(
             {_config.count - _i, out.room(),
-             refsOnPage(vaddr, _config.strideBytes, page_bytes)});
+             refsOnPage(vaddr, _config.strideBytes, _stride,
+                        page_bytes)});
         if (!_blockPerm.empty())
             left = std::min(left,
                             refsOnPage(raw - _config.base,
-                                       _config.strideBytes,
+                                       _config.strideBytes, _stride,
                                        kDefaultPageBytes));
         out.add(vaddr >> shift, _config.pc, left);
         advance(left);
@@ -221,8 +232,10 @@ ChangingStrideScan::ChangingStrideScan(const Config &config)
 {
     tlbpf_assert(!_config.phases.empty(),
                  "ChangingStrideScan needs phases");
-    for (const Phase &phase : _config.phases)
+    for (const Phase &phase : _config.phases) {
         tlbpf_assert(phase.count > 0, "phase count must be positive");
+        _strides.push_back(strideDivisor(phase.strideBytes));
+    }
 }
 
 bool
@@ -278,7 +291,7 @@ ChangingStrideScan::nextRuns(PageRun *buf, std::size_t n,
         std::uint64_t left =
             std::min({phase.count - _inPhase, out.room(),
                       refsOnPage(_cursor, phase.strideBytes,
-                                 page_bytes)});
+                                 _strides[_phase], page_bytes)});
         out.add(_cursor >> shift, _config.pc, left);
         advance(left);
     }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "trace/ref_stream.hh"
+#include "util/bits.hh"
 #include "util/random.hh"
 
 namespace tlbpf
@@ -79,6 +80,9 @@ class StridedScan : public RefStream
     void advance(std::uint64_t count);
 
     Config _config;
+    /** |strideBytes| and shuffleBlockPages, divided by multiplying. */
+    Divisor _stride;
+    Divisor _blockPages;
     std::vector<std::uint32_t> _blockPerm;
     std::uint64_t _i = 0;
     std::uint32_t _pass = 0;
@@ -121,6 +125,8 @@ class ChangingStrideScan : public RefStream
     void advance(std::uint64_t count);
 
     Config _config;
+    /** |strideBytes| of each phase, divided by multiplying. */
+    std::vector<Divisor> _strides;
     Addr _cursor;
     std::size_t _phase = 0;
     std::uint64_t _inPhase = 0;

@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include "mem/page_table.hh"
 #include "mem/prefetch_channel.hh"
+#include "util/random.hh"
+#include "util/snapshot.hh"
 
 namespace tlbpf
 {
@@ -53,6 +59,136 @@ TEST(PageTable, ClearDropsEverything)
     pt.clear();
     EXPECT_EQ(pt.size(), 0u);
     EXPECT_EQ(pt.find(1), nullptr);
+}
+
+/**
+ * PageTable against a std::unordered_map model through several
+ * grow()s, clear() and a snapshot round trip: lookup allocates with
+ * the same frame and default links, find agrees on presence and
+ * contents, unionSize counts the model union, the snapshot bytes are
+ * the model's entries in ascending-VPN order, and an entry reference
+ * taken before growth still names the same entry after it.
+ */
+TEST(PageTable, MatchesAnUnorderedMapModel)
+{
+    using Model = std::unordered_map<Vpn, PageTableEntry>;
+    auto same = [](const PageTableEntry &a, const PageTableEntry &b) {
+        return a.pfn == b.pfn && a.next == b.next && a.prev == b.prev &&
+               a.inStack == b.inStack;
+    };
+    auto modelBytes = [](const Model &model) {
+        std::vector<Vpn> vpns;
+        for (const auto &[vpn, pte] : model)
+            vpns.push_back(vpn);
+        std::sort(vpns.begin(), vpns.end());
+        SnapshotWriter out;
+        out.u64(vpns.size());
+        for (Vpn vpn : vpns) {
+            const PageTableEntry &pte = model.at(vpn);
+            out.u64(vpn);
+            out.u64(pte.pfn);
+            out.u64(pte.next);
+            out.u64(pte.prev);
+            out.boolean(pte.inStack);
+        }
+        return out.take();
+    };
+    auto snapshot = [](const PageTable &pt) {
+        SnapshotWriter out;
+        pt.snapshotState(out);
+        return out.take();
+    };
+    // Keys from the families the simulator feeds it: consecutive and
+    // strided pages, kernel-half pages and random 52-bit VPNs.
+    Rng rng(11);
+    auto drawVpn = [&rng](std::uint64_t i) -> Vpn {
+        switch (i % 4) {
+        case 0: return (1ull << 20) + i;
+        case 1: return i << 9;
+        case 2: return (0xffff800000000000ull >> 12) + 3 * i;
+        default: return rng.next() >> 12;
+        }
+    };
+
+    PageTable pt;
+    PageTable other;
+    Model model;
+    Model otherModel;
+    constexpr Vpn kFirst = 12345;
+    PageTableEntry *early = &pt.lookup(kFirst);
+    model[kFirst] = *early;
+    for (int round = 0; round < 2; ++round) {
+        // 10000 pages: the 1024-bucket map doubles several times.
+        for (std::uint64_t i = 0; i < 10000; ++i) {
+            Vpn vpn = drawVpn(i + round * 7);
+            bool fresh = !model.count(vpn);
+            ASSERT_EQ(pt.find(vpn) == nullptr, fresh) << vpn;
+            PageTableEntry &pte = pt.lookup(vpn);
+            if (fresh) {
+                ASSERT_EQ(pte.pfn, mix64(vpn) & ((1ull << 40) - 1));
+                ASSERT_EQ(pte.next, kNoPage);
+                ASSERT_EQ(pte.prev, kNoPage);
+                ASSERT_FALSE(pte.inStack);
+                model[vpn] = pte;
+            }
+            ASSERT_TRUE(same(pte, model[vpn])) << vpn;
+            if (rng.nextBelow(3) == 0) {
+                pte.next = rng.next();
+                pte.prev = rng.next();
+                pte.inStack = rng.nextBelow(2) == 1;
+                model[vpn] = pte;
+            }
+            ASSERT_EQ(pt.find(vpn), &pte);
+            if (i % 3 == 0)
+                otherModel.emplace(vpn, other.lookup(vpn));
+            Vpn absent = drawVpn(i) ^ (1ull << 60);
+            if (!model.count(absent)) {
+                ASSERT_EQ(pt.find(absent), nullptr);
+            }
+        }
+        ASSERT_EQ(pt.size(), model.size());
+        ASSERT_EQ(&pt.lookup(kFirst), early);
+        early->next = 99 + round;
+        model[kFirst] = *early;
+        ASSERT_EQ(pt.find(kFirst)->next, 99u + round);
+        for (const auto &[vpn, pte] : model)
+            ASSERT_TRUE(same(*pt.find(vpn), pte)) << vpn;
+
+        Model both = model;
+        both.insert(otherModel.begin(), otherModel.end());
+        EXPECT_EQ(pt.unionSize(other), both.size());
+        EXPECT_EQ(other.unionSize(pt), both.size());
+        EXPECT_EQ(other.unionSize(other), otherModel.size());
+
+        std::vector<std::uint8_t> bytes = snapshot(pt);
+        ASSERT_EQ(bytes, modelBytes(model));
+        for (PageTable *into : {&other, &pt}) {
+            SnapshotReader in(bytes);
+            into->restoreState(in);
+            EXPECT_TRUE(in.atEnd());
+            EXPECT_EQ(snapshot(*into), bytes);
+            EXPECT_EQ(into->size(), model.size());
+        }
+        otherModel = model;
+
+        // clear() keeps the pool's storage: refilled entries must
+        // still start from default links.
+        if (round == 0) {
+            for (PageTable *table : {&pt, &other}) {
+                table->clear();
+                EXPECT_EQ(table->size(), 0u);
+                for (const auto &[vpn, pte] : model)
+                    ASSERT_EQ(table->find(vpn), nullptr);
+                EXPECT_EQ(snapshot(*table), modelBytes({}));
+            }
+            model.clear();
+            otherModel.clear();
+            early = &pt.lookup(kFirst);
+            EXPECT_EQ(early->next, kNoPage);
+            EXPECT_FALSE(early->inStack);
+            model[kFirst] = *early;
+        }
+    }
 }
 
 class RecencyStackTest : public ::testing::Test

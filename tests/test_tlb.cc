@@ -87,6 +87,27 @@ TEST(Tlb, DoubleInsertPanics)
     EXPECT_DEATH(tlb.insert(1), "double insert");
 }
 
+// The indexed geometry catches a resident VPN without a probe of its
+// own: either it is the LRU victim about to be replaced, or it sits on
+// the probe chain the index walks to add the new entry.
+TEST(Tlb, DoubleInsertPanicsInIndexedSets)
+{
+    for (TlbConfig config : {TlbConfig{128, 0}, TlbConfig{128, 32}}) {
+        Tlb partial(config);
+        partial.insert(5);
+        partial.insert(7);
+        EXPECT_DEATH(partial.insert(5), "double insert");
+
+        Tlb full(config);
+        for (Vpn vpn = 0; vpn < config.entries; ++vpn)
+            full.insert(vpn);
+        // Page 0 is its set's LRU entry, so it is also the victim.
+        EXPECT_DEATH(full.insert(0), "double insert");
+        EXPECT_TRUE(full.access(0));
+        EXPECT_DEATH(full.insert(0), "double insert");
+    }
+}
+
 TEST(Tlb, BadGeometryIsRejected)
 {
     EXPECT_DEATH(Tlb({100, 3}), "multiple of associativity");

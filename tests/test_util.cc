@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/bits.hh"
@@ -197,6 +200,108 @@ TEST(Bits, ZigZagSmallMagnitudesGetSmallCodes)
     EXPECT_EQ(zigZagEncode(1), 2u);
     EXPECT_EQ(zigZagEncode(-2), 3u);
     EXPECT_EQ(zigZagEncode(2), 4u);
+}
+
+/**
+ * Successful-lookup probe lengths when @p keys are linearly probed
+ * into 2^@p bits buckets by hashBucket: {mean, max}.
+ */
+std::pair<double, std::size_t>
+probeLengths(const std::vector<std::uint64_t> &keys, unsigned bits)
+{
+    std::size_t mask = (std::size_t{1} << bits) - 1;
+    std::vector<bool> used(mask + 1, false);
+    std::size_t total = 0;
+    std::size_t longest = 0;
+    for (std::uint64_t key : keys) {
+        std::size_t b = hashBucket(key, bits);
+        EXPECT_LE(b, mask) << "key " << key << " bits " << bits;
+        std::size_t len = 1;
+        for (; used[b & mask]; ++b)
+            ++len;
+        used[b & mask] = true;
+        total += len;
+        longest = std::max(longest, len);
+    }
+    return {static_cast<double>(total) / keys.size(), longest};
+}
+
+// The key families the simulator's indexes see: consecutive VPNs,
+// power-of-two strides, page-aligned kernel-half addresses and
+// zigzagged signed distances.  Taking the product's low bits instead
+// of its high bits piles a 2^k stride into 2^(bits-k) buckets, and
+// every stride of 2^bits or more into one.
+TEST(Bits, HashBucketSpreadsStructuredKeys)
+{
+    for (unsigned bits : {9u, 10u, 12u, 14u}) {
+        for (std::size_t load_div : {4u, 2u}) {
+            std::size_t n = (std::size_t{1} << bits) / load_div;
+            std::vector<std::pair<std::string, std::vector<std::uint64_t>>>
+                families;
+            auto family = [&](std::string name, auto key_of) {
+                std::vector<std::uint64_t> keys;
+                for (std::size_t i = 0; i < n; ++i)
+                    keys.push_back(key_of(static_cast<std::int64_t>(i)));
+                families.emplace_back(std::move(name), std::move(keys));
+            };
+            family("consecutive VPNs",
+                   [](std::int64_t i) { return (1ull << 20) + i; });
+            for (unsigned k = 1; k <= 40; ++k)
+                family("stride 2^" + std::to_string(k),
+                       [k](std::int64_t i) {
+                           return static_cast<std::uint64_t>(i) << k;
+                       });
+            family("high-half pages", [](std::int64_t i) {
+                return 0xffff800000000000ull +
+                       (static_cast<std::uint64_t>(i) << 12);
+            });
+            family("zigzag distances", [n](std::int64_t i) {
+                return zigZagEncode(i - static_cast<std::int64_t>(n / 2));
+            });
+            // Uniform hashing averages 1.17 probes at load 1/4 and 1.5
+            // at 1/2; the bounds leave room for the lattice effects of
+            // multiplicative hashing on a few strides.
+            double mean_bound = load_div == 4 ? 2.5 : 4.0;
+            std::size_t max_bound = load_div == 4 ? 16 : 32;
+            for (const auto &[name, keys] : families) {
+                auto [mean, longest] = probeLengths(keys, bits);
+                EXPECT_LE(mean, mean_bound)
+                    << name << ", 2^" << bits << " buckets, load 1/"
+                    << load_div;
+                EXPECT_LE(longest, max_bound)
+                    << name << ", 2^" << bits << " buckets, load 1/"
+                    << load_div;
+            }
+        }
+    }
+}
+
+TEST(Bits, DivisorMatchesHardwareDivision)
+{
+    std::vector<std::uint64_t> divisors = {
+        1, 2, 3, 5, 7, 24, 40, 64, 100, 4095, 4096, 4097,
+        (1ull << 32) - 1, 1ull << 32, (1ull << 32) + 1, 1ull << 63,
+        (1ull << 63) + 1, UINT64_MAX - 1, UINT64_MAX};
+    Rng rng(7);
+    for (int i = 0; i < 200; ++i)
+        divisors.push_back(rng.next() >> rng.nextBelow(64));
+    std::vector<std::uint64_t> dividends = {
+        0, 1, 2, 3, 4095, 4096, 4097, UINT32_MAX, 1ull << 32,
+        1ull << 63, UINT64_MAX - 1, UINT64_MAX};
+    for (int i = 0; i < 200; ++i)
+        dividends.push_back(rng.next() >> rng.nextBelow(64));
+    for (std::uint64_t d : divisors) {
+        if (d == 0)
+            continue;
+        Divisor div(d);
+        for (std::uint64_t n : dividends) {
+            EXPECT_EQ(div.quotient(n), n / d) << n << " / " << d;
+            // Around every multiple of d, where a rounding error shows.
+            std::uint64_t q = n / d;
+            for (std::uint64_t m : {q * d, q * d - 1, q * d + d - 1})
+                ASSERT_EQ(div.quotient(m), m / d) << m << " / " << d;
+        }
+    }
 }
 
 TEST(Cli, ParsesEqualsAndSpaceForms)
