@@ -77,12 +77,9 @@ run(const WorkloadSpec &workload, const MechanismSpec &spec,
         prefetcher->onMiss(
             TlbMiss{vpn, ref.pc, pb_hit, evicted.value_or(kNoPage)},
             decision);
-        for (Vpn target : decision.targets) {
-            if (target == vpn || tlb.contains(target) ||
-                buffer.contains(target))
-                continue;
-            buffer.insert(target, 0);
-        }
+        for (Vpn target : decision.targets)
+            if (target != vpn && !tlb.contains(target))
+                buffer.insertIfAbsent(target);
     }
     return result;
 }

@@ -93,12 +93,9 @@ main(int argc, char **argv)
                 TlbMiss{vpn, ref.pc, covered,
                         evicted.value_or(kNoPage)},
                 decision);
-            for (Vpn target : decision.targets) {
-                if (target == vpn || tlb.contains(target) ||
-                    buffer.contains(target))
-                    continue;
-                buffer.insert(target, 0);
-            }
+            for (Vpn target : decision.targets)
+                if (target != vpn && !tlb.contains(target))
+                    buffer.insertIfAbsent(target);
         }
 
         std::string top1 = "-";

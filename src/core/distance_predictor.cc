@@ -68,6 +68,19 @@ DistancePredictor::reset()
 }
 
 void
+DistancePredictor::adopt(const DistancePredictor &smaller)
+{
+    tlbpf_assert(smaller._config.slots == _config.slots,
+                 "adopt needs a predictor of the same slots");
+    _table.adopt(smaller._table);
+    _prevUnit = smaller._prevUnit;
+    _prevDist = smaller._prevDist;
+    _hasPrevUnit = smaller._hasPrevUnit;
+    _hasPrevDist = smaller._hasPrevDist;
+    _observations = smaller._observations;
+}
+
+void
 DistancePredictor::snapshotState(SnapshotWriter &out) const
 {
     _table.snapshotSlotState(out);

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/prediction_table.hh"
+#include "util/bits.hh"
 
 namespace tlbpf
 {
@@ -56,6 +57,24 @@ class DistancePredictor
 
     /** Forget all history (e.g. on context switch). */
     void reset();
+
+    /**
+     * Whether the next observe() would evict a table row: it inserts
+     * only the previous distance's row, whatever the unit.
+     */
+    bool
+    wouldEvict() const
+    {
+        std::uint64_t key = zigZagEncode(_prevDist);
+        return _hasPrevDist && _table.wouldEvict({&key, 1});
+    }
+
+    /**
+     * Take over the history and table of @p smaller, a predictor of
+     * the same slots and associativity with fewer rows whose table
+     * never evicted (PredictionTable::adopt).
+     */
+    void adopt(const DistancePredictor &smaller);
 
     /** Serialize the table and the prev-unit/prev-distance history. */
     void snapshotState(SnapshotWriter &out) const;

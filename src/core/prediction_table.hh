@@ -13,6 +13,11 @@
  * a 256-row fully-associative table costs O(1) per access instead of
  * a 256-row scan.  The rows stay authoritative: replacement picks the
  * same victim the scan would, and the snapshot bytes are the rows.
+ *
+ * wouldEvict() and adopt() serve size families (sim/core.hh): tables
+ * of one associativity whose row counts differ hold the same rows
+ * until the smallest evicts, so a larger one can be derived from it
+ * at that point instead of being simulated all along.
  */
 
 #ifndef TLBPF_CORE_PREDICTION_TABLE_HH
@@ -20,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -155,6 +161,70 @@ class PredictionTable
 
     /** True if a row for @p key is resident. */
     bool contains(std::uint64_t key) const { return peek(key) != nullptr; }
+
+    /**
+     * Whether findOrInsert() of each of @p keys, in order, would evict
+     * a valid row.  A key already resident, or inserted by an earlier
+     * key of the list, hits; every other key needs a free way in its
+     * set, and earlier keys may have taken the set's last one.
+     */
+    bool
+    wouldEvict(std::span<const std::uint64_t> keys) const
+    {
+        // Key i allocates a row: it is neither resident nor repeated.
+        auto allocates = [&](std::size_t i) {
+            return !contains(keys[i]) &&
+                   std::find(keys.begin(), keys.begin() + i, keys[i]) ==
+                       keys.begin() + i;
+        };
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (!allocates(i))
+                continue;
+            std::size_t base = setBase(keys[i]);
+            std::size_t used = setFill(base);
+            for (std::size_t j = 0; j < i; ++j)
+                used += setBase(keys[j]) == base && allocates(j);
+            if (used >= _ways)
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * Become the table a run of this geometry would hold had it seen
+     * what @p smaller saw: @p smaller has the same associativity, at
+     * most as many rows, and has never evicted a row.  Its sets then
+     * split into this table's (set counts are powers of two), so each
+     * row fits.  Rows are placed set by set in @p smaller's way
+     * order, which is their insertion order: a table that never
+     * evicted fills each set's free ways first to last.  The LRU
+     * clock, rows' use clocks and the counters carry over.
+     */
+    void
+    adopt(const PredictionTable &smaller)
+    {
+        tlbpf_assert(smaller._config.assoc == _config.assoc &&
+                         smaller._config.rows <= _config.rows &&
+                         smaller._evictions == 0,
+                     "adopt needs a smaller table of the same "
+                     "associativity that never evicted");
+        std::fill(_rows.begin(), _rows.end(), Row{});
+        std::vector<std::uint32_t> filled(_config.numSets(), 0);
+        for (const Row &row : smaller._rows) {
+            if (!row.valid)
+                continue;
+            std::size_t base = setBase(row.key);
+            std::uint32_t &way = filled[base / _ways];
+            tlbpf_assert(way < _ways, "adopted row overflows its set");
+            _rows[base + way++] = row;
+        }
+        _clock = smaller._clock;
+        _hits = smaller._hits;
+        _misses = smaller._misses;
+        _evictions = smaller._evictions;
+        if (_wide.enabled())
+            _wide.rebuild(_rows);
+    }
 
     void
     reset()
@@ -294,6 +364,18 @@ class PredictionTable
     {
         return (key & (_config.numSets() - 1)) *
                static_cast<std::size_t>(_ways);
+    }
+
+    /** Valid rows in the set whose first slot is @p base. */
+    std::size_t
+    setFill(std::size_t base) const
+    {
+        if (_wide.enabled())
+            return _wide.resident(base);
+        std::size_t n = 0;
+        for (std::size_t w = 0; w < _ways; ++w)
+            n += _rows[base + w].valid;
+        return n;
     }
 
     std::uint32_t

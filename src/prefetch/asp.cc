@@ -76,6 +76,23 @@ AspPrefetcher::reset()
     _table.reset();
 }
 
+bool
+AspPrefetcher::adopt(const Prefetcher &smaller)
+{
+    auto *asp = dynamic_cast<const AspPrefetcher *>(&smaller);
+    if (!asp)
+        return false;
+    _table.adopt(asp->_table);
+    return true;
+}
+
+bool
+AspPrefetcher::wouldEvict(Vpn, Addr pc) const
+{
+    std::uint64_t key = pc >> 2;
+    return _table.wouldEvict({&key, 1});
+}
+
 void
 AspPrefetcher::snapshotState(SnapshotWriter &out) const
 {

@@ -22,6 +22,22 @@ DistancePrefetcher::reset()
     _predictor.reset();
 }
 
+bool
+DistancePrefetcher::adopt(const Prefetcher &smaller)
+{
+    auto *dp = dynamic_cast<const DistancePrefetcher *>(&smaller);
+    if (!dp)
+        return false;
+    _predictor.adopt(dp->_predictor);
+    return true;
+}
+
+bool
+DistancePrefetcher::wouldEvict(Vpn, Addr) const
+{
+    return _predictor.wouldEvict();
+}
+
 void
 DistancePrefetcher::snapshotState(SnapshotWriter &out) const
 {

@@ -41,6 +41,30 @@ MarkovPrefetcher::reset()
     _prevMiss = kNoPage;
 }
 
+bool
+MarkovPrefetcher::adopt(const Prefetcher &smaller)
+{
+    auto *mp = dynamic_cast<const MarkovPrefetcher *>(&smaller);
+    if (!mp)
+        return false;
+    tlbpf_assert(mp->_slots == _slots,
+                 "adopt needs a Markov table of the same slots");
+    _table.adopt(mp->_table);
+    _prevMiss = mp->_prevMiss;
+    return true;
+}
+
+bool
+MarkovPrefetcher::wouldEvict(Vpn vpn, Addr) const
+{
+    // onMiss inserts the previous miss's row, then the current one's.
+    if (_prevMiss != kNoPage && _prevMiss != vpn) {
+        const std::uint64_t keys[] = {_prevMiss, vpn};
+        return _table.wouldEvict(keys);
+    }
+    return _table.wouldEvict({&vpn, 1});
+}
+
 void
 MarkovPrefetcher::snapshotState(SnapshotWriter &out) const
 {

@@ -36,6 +36,9 @@ class MarkovPrefetcher : public Prefetcher
     std::string label() const override;
     HardwareProfile hardwareProfile() const override;
 
+    bool adopt(const Prefetcher &smaller) override;
+    bool wouldEvict(Vpn vpn, Addr pc) const override;
+
     bool checkpointable() const override { return true; }
     void snapshotState(SnapshotWriter &out) const override;
     void restoreState(SnapshotReader &in) override;

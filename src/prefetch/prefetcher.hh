@@ -95,6 +95,34 @@ class Prefetcher
     virtual bool dropPrefetchesWhenBusy() const { return false; }
 
     /**
+     * Size families (sim/core.hh): take over the state of @p smaller,
+     * built from the same registry entry and parameters apart from
+     * fewer table rows, which has never evicted a table row, as this
+     * mechanism's own table geometry would hold it.  Returns false,
+     * changing nothing, if the mechanism does not take part (the
+     * default) or @p smaller is of another kind.
+     */
+    virtual bool adopt(const Prefetcher &smaller)
+    {
+        (void)smaller;
+        return false;
+    }
+
+    /**
+     * Size families: whether onMiss() for a miss to @p vpn by @p pc
+     * would evict a row of the mechanism's table.  Only asked of a
+     * mechanism whose adopt() takes part; the default, true, is
+     * always safe.
+     */
+    virtual bool
+    wouldEvict(Vpn vpn, Addr pc) const
+    {
+        (void)vpn;
+        (void)pc;
+        return true;
+    }
+
+    /**
      * Whether this mechanism implements exact state snapshot/restore.
      * Mechanisms registered through the open MechanismRegistry opt in
      * by overriding the three checkpoint hooks (every in-tree

@@ -575,6 +575,12 @@ SweepEngine::runSharded(const ShardPlan &plan, ShardWarmup warmup,
     weights.reserve(units.size());
     for (const SweepUnit &unit : units)
         weights.push_back(unit.weight);
+    // The head unit, holding plan job 0, starts first whatever its
+    // weight: results stream in plan order, so nothing reaches the
+    // caller before it.  Ties go to the lower index, so the largest
+    // weight puts it first and leaves the rest in LPT order.
+    if (!weights.empty())
+        weights.front() = UINT64_MAX;
     CheckpointHook *hook = _checkpointHook;
     _pool.parallelForWeighted(
         weights, [&](std::size_t u) { batch.run(units[u], hook); });

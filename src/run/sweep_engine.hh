@@ -26,10 +26,12 @@
  * Determinism: every job owns its entire simulation state (stream,
  * TLB, buffer, prefetcher, RNG) and writes only its own slot, so
  * results are bit-identical to a serial run for any thread count,
- * worker count, pass mode or warm-up mode.  Units are weighted so
- * the pool hands them out heaviest first (costWeight() x count for
- * cells and groups, the whole budget for a chain); neither that
- * order nor any interleaving can change a result byte.
+ * worker count, pass mode or warm-up mode.  The unit holding plan
+ * job 0 starts first, since results stream in plan order; the rest
+ * are weighted so the pool hands them out heaviest first
+ * (costWeight() x count for cells and groups, the whole budget for a
+ * chain).  Neither that order nor any interleaving can change a
+ * result byte.
  *
  * A job that cannot run (zero reference budget, unknown application
  * model, unreadable trace file, malformed mix, a sharded timing cell)

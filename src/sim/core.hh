@@ -25,6 +25,36 @@
  * every mechanism.  Back-ends only read the TLB, and each handles
  * miss i before the front-end moves on, so each sees the exact TLB a
  * lone run of its mechanism would.
+ *
+ * Size families.  Back-ends whose specs name one registry entry with
+ * the same parameters apart from `rows` (say DP,32,D .. DP,1024,D)
+ * form a family, if their mechanism takes part (Prefetcher::adopt;
+ * DP, ASP and MP do).  Only the family's leader, its smallest member
+ * that has not yet evicted a table row, runs; the larger members
+ * follow, and a follower's result is the leader's.  This is exact:
+ *
+ *   - Set counts are powers of two, so the keys that share a set of a
+ *     larger table also share one of the smaller table, and a set of
+ *     the larger has at least as many ways.  Fed the same keys, the
+ *     larger table evicts only where the smaller would already have
+ *     had to.
+ *   - While the leader evicts nothing, both tables hold every key
+ *     inserted since the last flush, with the same payloads, use
+ *     clocks and counters.  Every lookup hits or misses alike, so
+ *     both mechanisms predict the same targets, and the buffers and
+ *     counters they drive stay equal too.
+ *
+ * Before each miss (and each trained hit) the front-end asks every
+ * leader whether handling it would evict a row.  If so, the next
+ * member adopts the leader's state (BackEnd::adopt: buffer, counters,
+ * clock, and the mechanism's table placed in its own geometry), runs
+ * from then on like any other back-end, and leads the rest; the check
+ * repeats, so one miss can split off several members.  A flush keeps
+ * followers following: a lone run would flush to the same state.  A
+ * family whose members have all split off is dropped, and a front-end
+ * with one back-end has no families, so neither pays per miss.
+ * Snapshots cover a lone back-end only, so a follower is never
+ * serialized.
  */
 
 #ifndef TLBPF_SIM_CORE_HH
@@ -275,6 +305,24 @@ class BackEnd
         return r;
     }
 
+    /**
+     * Size families: become what a lone run of this back-end would
+     * hold now, given @p smaller, the next smaller member of its
+     * family, which has never evicted a table row: its buffer,
+     * counters and clock, and its mechanism's state in this
+     * back-end's table geometry.  Family mechanisms keep no
+     * page-table state, so there is none to copy.
+     */
+    void
+    adopt(const BackEnd &smaller)
+    {
+        _buffer = smaller._buffer;
+        _counters = smaller._counters;
+        _clock = smaller._clock;
+        bool adopted = _prefetcher->adopt(*smaller._prefetcher);
+        tlbpf_assert(adopted, "back-end adopted a non-family member");
+    }
+
     /** The counters this back-end drives (the rest read zero). */
     SimResult &counters() { return _counters; }
     PrefetchBuffer &buffer() { return _buffer; }
@@ -349,6 +397,13 @@ class FrontEnd
         }
         _hitTrainers = _perReference;
         _perReference |= Clock::kPerReference;
+        _leaderOf.resize(specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            _leaderOf[i] = i;
+        formFamilies(specs);
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            if (_leaderOf[i] == i)
+                _running.push_back(i);
     }
 
     // Pinned: a lone back-end's mechanism holds a reference to _pt.
@@ -413,12 +468,15 @@ class FrontEnd
         return fed;
     }
 
-    /** Back-end @p i's full counters. */
+    /** Back-end @p i's full counters (its leader's, if it follows). */
     SimResult
     result(std::size_t i) const
     {
-        return _backs[i].result(_counters, _pt);
+        return _backs[_leaderOf[i]].result(_counters, _pt);
     }
+
+    /** Back-ends that run: every one but the size-family followers. */
+    std::size_t running() const { return _running.size(); }
 
     const SimConfig &config() const { return _config; }
     /** refs, misses and contextSwitches; the rest read zero. */
@@ -432,6 +490,109 @@ class FrontEnd
     const BackEnd<Clock> &back(std::size_t i) const { return _backs[i]; }
 
   private:
+    /** Members of one size family, by back-end index. */
+    struct Family
+    {
+        std::vector<std::size_t> members; ///< ascending rows
+        std::size_t lead = 0; ///< position of the leader in members
+    };
+
+    /**
+     * Whether @p a and @p b name one registry entry with the same
+     * parameters apart from `rows`, which both have: the specs of one
+     * size family.
+     */
+    static bool
+    sameSizeFamily(const MechanismSpec &a, const MechanismSpec &b)
+    {
+        if (a.name != b.name || !a.children.empty() ||
+            !b.children.empty() || a.params.size() != b.params.size())
+            return false;
+        bool has_rows = false;
+        for (std::size_t i = 0; i < a.params.size(); ++i) {
+            if (a.params[i].first != b.params[i].first)
+                return false;
+            if (a.params[i].first == "rows")
+                has_rows = true;
+            else if (a.params[i].second != b.params[i].second)
+                return false;
+        }
+        return has_rows;
+    }
+
+    /**
+     * Group the back-ends into size families: the specs of each
+     * family sorted by rows, kept if every member adopts the one
+     * before it.  All members are fresh, so that probe changes no
+     * state.
+     */
+    void
+    formFamilies(std::span<const MechanismSpec> specs)
+    {
+        std::vector<bool> placed(specs.size(), false);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            if (placed[i] || !_backs[i].prefetcher())
+                continue;
+            Family family;
+            for (std::size_t j = i; j < specs.size(); ++j)
+                if (!placed[j] && sameSizeFamily(specs[i], specs[j]))
+                    family.members.push_back(j);
+            if (family.members.size() < 2)
+                continue;
+            std::vector<std::size_t> &m = family.members;
+            std::stable_sort(m.begin(), m.end(),
+                             [&](std::size_t a, std::size_t b) {
+                                 return specs[a].uintParam("rows") <
+                                        specs[b].uintParam("rows");
+                             });
+            bool adopts = true;
+            for (std::size_t k = 1; k < m.size() && adopts; ++k)
+                adopts = _backs[m[k]].prefetcher()->adopt(
+                    *_backs[m[k - 1]].prefetcher());
+            if (!adopts)
+                continue;
+            for (std::size_t member : m) {
+                placed[member] = true;
+                _leaderOf[member] = m.front();
+            }
+            _families.push_back(std::move(family));
+        }
+    }
+
+    /**
+     * Before the back-ends see a miss, or a trained hit, to @p vpn by
+     * @p pc: while a family's leader would evict a table row on it,
+     * the next member adopts the leader's state and leads from here
+     * on.  (A family of mechanisms that do not train on hits would
+     * split early on a hit, which is exact too; only RP, which has no
+     * table, ignores hits.)
+     */
+    void
+    splitFamilies(Vpn vpn, Addr pc)
+    {
+        for (std::size_t f = 0; f < _families.size();) {
+            Family &family = _families[f];
+            const std::vector<std::size_t> &m = family.members;
+            while (family.lead + 1 < m.size() &&
+                   _backs[m[family.lead]].prefetcher()->wouldEvict(
+                       vpn, pc)) {
+                std::size_t next = m[family.lead + 1];
+                _backs[next].adopt(_backs[m[family.lead]]);
+                ++family.lead;
+                for (std::size_t k = family.lead; k < m.size(); ++k)
+                    _leaderOf[m[k]] = next;
+                _running.insert(std::upper_bound(_running.begin(),
+                                                 _running.end(), next),
+                                next);
+            }
+            if (family.lead + 1 == m.size())
+                _families.erase(_families.begin() +
+                                static_cast<std::ptrdiff_t>(f));
+            else
+                ++f;
+        }
+    }
+
     /**
      * @p count consecutive references to page @p vpn, the first at
      * @p pc and instruction count @p icount.  No context switch falls
@@ -445,30 +606,33 @@ class FrontEnd
         if (_config.contextSwitchInterval && _counters.refs > 0 &&
             _counters.refs % _config.contextSwitchInterval == 0) {
             _tlb.flush();
-            for (BackEnd<Clock> &back : _backs)
-                back.flush();
+            for (std::size_t i : _running)
+                _backs[i].flush();
             ++_counters.contextSwitches;
         }
         _counters.refs += count;
         if constexpr (Clock::kPerReference)
-            for (BackEnd<Clock> &back : _backs)
-                back.reference(icount);
+            for (std::size_t i : _running)
+                _backs[i].reference(icount);
 
         if (_tlb.access(vpn, count)) {
-            if (_hitTrainers)
-                for (BackEnd<Clock> &back : _backs)
-                    if (back.trainsOnHits())
-                        back.onHit(vpn, pc, _tlb);
+            if (_hitTrainers) {
+                splitFamilies(vpn, pc);
+                for (std::size_t i : _running)
+                    if (_backs[i].trainsOnHits())
+                        _backs[i].onHit(vpn, pc, _tlb);
+            }
             return;
         }
 
         ++_counters.misses;
         _pt.lookup(vpn); // materialise the translation
         Vpn evicted = _tlb.insert(vpn).value_or(kNoPage);
+        splitFamilies(vpn, pc);
         // Lockstep: every back-end handles this miss against the
         // exact TLB before the next reference probes it.
-        for (BackEnd<Clock> &back : _backs)
-            back.onMiss(vpn, pc, evicted, _tlb);
+        for (std::size_t i : _running)
+            _backs[i].onMiss(vpn, pc, evicted, _tlb);
         // The rest of the run hits the page just installed.
         if (count > 1)
             _tlb.access(vpn, count - 1);
@@ -481,6 +645,12 @@ class FrontEnd
     Tlb _tlb;
     SimResult _counters;
     std::vector<BackEnd<Clock>> _backs;
+    /** Back-ends that run, ascending: all but the followers. */
+    std::vector<std::size_t> _running;
+    /** The back-end whose result is back-end i's (i if it runs). */
+    std::vector<std::size_t> _leaderOf;
+    /** Size families with followers left. */
+    std::vector<Family> _families;
     /** Some back-end's mechanism observes TLB hits. */
     bool _hitTrainers = false;
     /** Some back-end needs every reference, not page runs. */

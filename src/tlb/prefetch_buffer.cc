@@ -1,7 +1,5 @@
 #include "tlb/prefetch_buffer.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace tlbpf
@@ -37,24 +35,6 @@ PrefetchBuffer::contains(Vpn vpn) const
         if (node.vpn == vpn)
             return true;
     return false;
-}
-
-void
-PrefetchBuffer::insert(Vpn vpn, Tick ready_at)
-{
-    for (std::size_t i = 0; i < _nodes.size(); ++i) {
-        if (_nodes[i].vpn == vpn) {
-            // Refresh: move to MRU and keep the earlier ready time (the
-            // data is already on its way).
-            Node node = _nodes[i];
-            node.readyAt = std::min(node.readyAt, ready_at);
-            _nodes.erase(_nodes.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-            _nodes.insert(_nodes.begin(), node);
-            return;
-        }
-    }
-    fill(vpn, ready_at);
 }
 
 void

@@ -44,15 +44,10 @@ class PrefetchBuffer
     bool contains(Vpn vpn) const;
 
     /**
-     * Insert a prefetched translation that will be ready at
-     * @p ready_at; evicts the LRU entry if full.  Inserting a vpn that
-     * is already buffered refreshes its recency and ready time.
-     */
-    void insert(Vpn vpn, Tick ready_at = 0);
-
-    /**
-     * Insert @p vpn unless it is already buffered, in one scan: the
-     * duplicate check and the fill of the prefetch issue path.
+     * Insert @p vpn, a prefetched translation ready at @p ready_at,
+     * unless it is already buffered, in one scan: the duplicate check
+     * and the fill of the prefetch issue path.  A full buffer evicts
+     * its LRU entry.
      * @return true if inserted, false if @p vpn was present (its
      *         recency and ready time are left alone).
      */

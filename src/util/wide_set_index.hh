@@ -124,6 +124,13 @@ class WideSetIndex
         return set.tail;
     }
 
+    /** Valid rows in the set whose first slot is @p base. */
+    std::uint32_t
+    resident(std::size_t base) const
+    {
+        return _sets[setOf(base)].resident;
+    }
+
     /**
      * Start tracking @p slot, just filled with @p key and the newest
      * use clock.  Panics if another slot already holds @p key.

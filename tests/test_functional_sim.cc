@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "prefetch/distance.hh"
 #include "prefetch/mech_spec.hh"
 #include "sim/experiment.hh"
 #include "sim/functional_sim.hh"
@@ -491,6 +492,217 @@ TEST(SimulateMany, EmptySpecListAndEmptyStream)
         simulateMany(SimConfig{}, {spec("dp")}, empty);
     ASSERT_EQ(none.size(), 1u);
     EXPECT_EQ(none[0], SimResult{});
+}
+
+// ----------------------------------------------------- size families
+
+/** References to @p pages, at PC @p pc unless @p pcs gives each one. */
+std::vector<MemRef>
+pageRefs(const std::vector<Vpn> &pages, const std::vector<Addr> &pcs = {})
+{
+    std::vector<MemRef> refs;
+    for (std::size_t i = 0; i < pages.size(); ++i)
+        refs.push_back(MemRef{pages[i] * kDefaultPageBytes,
+                              pcs.empty() ? 0x4000 : pcs[i], false,
+                              3 * i});
+    return refs;
+}
+
+/**
+ * Run @p texts over @p refs through one front-end, a reference at a
+ * time, and through simulateMany (page runs): both must equal each
+ * spec's lone per-reference oracle.  Returns the number of back-ends
+ * that ran after each reference, so a test can see where its
+ * families split.
+ */
+std::vector<std::size_t>
+expectFamiliesMatchOracle(const SimConfig &config,
+                          const std::vector<MemRef> &refs,
+                          std::initializer_list<const char *> texts)
+{
+    std::vector<MechanismSpec> specs;
+    for (const char *text : texts)
+        specs.push_back(MechanismSpec::parse(text));
+    FrontEnd<NoClock> core(config, specs);
+    std::vector<std::size_t> running;
+    for (const MemRef &ref : refs) {
+        core.process(ref);
+        running.push_back(core.running());
+    }
+    VectorStream shared(refs);
+    std::vector<SimResult> many = simulateMany(config, specs, shared);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        VectorStream fresh(refs);
+        SimResult oracle = oracleSimulate(config, specs[i], fresh);
+        EXPECT_EQ(core.result(i), oracle) << specs[i].label();
+        EXPECT_EQ(many[i], oracle) << specs[i].label();
+    }
+    return running;
+}
+
+// DP's table is keyed by zigZag(distance): distance 1 is key 2,
+// distance 3 key 6 (row 2 of 4, row 6 of 8) and distance 5 key 10
+// (row 2 of 4 and of 8, row 10 of 16).  A 4-entry TLB misses on
+// every new page.
+
+TEST(SizeFamily, SplitsMidStreamWhenTheLeaderWouldEvict)
+{
+    // Unit strides, then a stride of 3 (page 8).  The miss to page 9
+    // inserts the row of distance 3, which would evict distance 1's
+    // row from DP,4 only, so DP,8 splits off before that miss.
+    std::vector<Vpn> pages = {0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 14, 15,
+                              16, 17, 20, 21, 22};
+    std::vector<std::size_t> running = expectFamiliesMatchOracle(
+        tinyConfig(), pageRefs(pages), {"DP,16,D", "DP,4,D", "DP,8,D"});
+    ASSERT_EQ(running.size(), pages.size());
+    EXPECT_EQ(running[6], 1u) << "split before the miss to page 9";
+    EXPECT_EQ(running[7], 2u) << "no split at the miss to page 9";
+    EXPECT_EQ(running.back(), 2u) << "DP,16 should still follow";
+}
+
+TEST(SizeFamily, OneMissSplitsTwoMembers)
+{
+    // The stride of 5 (page 10) makes the miss to page 11 insert the
+    // row of distance 5: DP,4 and DP,8 would both evict; DP,16 not.
+    std::vector<Vpn> pages = {0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 18, 19,
+                              20};
+    std::vector<std::size_t> running = expectFamiliesMatchOracle(
+        tinyConfig(), pageRefs(pages),
+        {"DP,4,D", "DP,8,D", "DP,16,D", "DP,32,D"});
+    EXPECT_EQ(running[6], 1u);
+    EXPECT_EQ(running[7], 3u) << "DP,8 and DP,16 split at one miss";
+    EXPECT_EQ(running.back(), 3u);
+}
+
+TEST(SizeFamily, FollowersStayAcrossContextSwitches)
+{
+    // Flushes every 5 references reset the leader's history: two
+    // pass before the stride-3 conflict builds up (pages 20-26) and
+    // one after the split.
+    SimConfig config = tinyConfig();
+    config.contextSwitchInterval = 5;
+    std::vector<Vpn> pages = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 21, 22,
+                              25, 26, 27, 30, 31};
+    std::vector<std::size_t> running = expectFamiliesMatchOracle(
+        config, pageRefs(pages), {"DP,4,D", "DP,8,D", "ASP,4,D"});
+    for (std::size_t i = 0; i + 1 < 14; ++i)
+        EXPECT_EQ(running[i], 2u) << "reference " << i;
+    EXPECT_EQ(running[14], 3u) << "the miss to page 26 splits DP,8";
+}
+
+TEST(SizeFamily, TrainedHitSplitsTheFamily)
+{
+    // With trainOnAllRefs DP observes the repeat of page 6 (a TLB
+    // hit, distance 0): it inserts the row of distance 3, which
+    // would evict distance 1's row from DP,4.
+    SimConfig config = tinyConfig();
+    config.trainOnAllRefs = true;
+    std::vector<Vpn> pages = {0, 1, 2, 3, 6, 6, 7, 8, 9, 12, 12, 13};
+    std::vector<std::size_t> running = expectFamiliesMatchOracle(
+        config, pageRefs(pages), {"DP,4,D", "DP,8,D"});
+    EXPECT_EQ(running[4], 1u);
+    EXPECT_EQ(running[5], 2u) << "the hit to page 6 splits DP,8";
+}
+
+TEST(SizeFamily, MarkovDirectMappedFamily)
+{
+    // MP keys rows by page: page 4 is row 0 of MP,4,D (page 0's) and
+    // row 4 of MP,8,D; page 12 is row 4 of MP,8,D (page 4's).
+    std::vector<Vpn> pages = {0, 1, 2, 3, 4, 5, 0, 1, 12, 13, 4, 5};
+    std::vector<std::size_t> running = expectFamiliesMatchOracle(
+        tinyConfig(), pageRefs(pages),
+        {"MP,4,D", "MP,8,D", "MP,16,D", "MP,8,2"});
+    EXPECT_EQ(running[3], 2u) << "MP,8,2 is a family of its own";
+    EXPECT_EQ(running[4], 3u) << "the miss to page 4 splits MP,8,D";
+    EXPECT_EQ(running[8], 4u) << "the miss to page 12 splits MP,16,D";
+}
+
+TEST(SizeFamily, AspSplitsOnPcConflicts)
+{
+    // ASP keys rows by pc >> 2: PCs 0x10 and 0x20 share row 0 of
+    // ASP,4,D but not of ASP,8,D.
+    std::vector<Vpn> pages = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    std::vector<Addr> pcs = {0x10, 0x10, 0x10, 0x10, 0x10,
+                             0x20, 0x10, 0x20, 0x10, 0x20};
+    std::vector<std::size_t> running = expectFamiliesMatchOracle(
+        tinyConfig(), pageRefs(pages, pcs), {"ASP,4,D", "ASP,8,D"});
+    EXPECT_EQ(running[4], 1u);
+    EXPECT_EQ(running[5], 2u);
+}
+
+/** A DP that does not take part in size families (no adopt()). */
+class OptOutDp : public Prefetcher
+{
+  public:
+    explicit OptOutDp(const TableConfig &table) : _dp(table) {}
+
+    void
+    onMiss(const TlbMiss &miss, PrefetchDecision &decision) override
+    {
+        _dp.onMiss(miss, decision);
+    }
+
+    void reset() override { _dp.reset(); }
+    std::string name() const override { return "DPO"; }
+    std::string label() const override { return _dp.label(); }
+    HardwareProfile hardwareProfile() const override { return {}; }
+
+  private:
+    DistancePrefetcher _dp;
+};
+
+TEST(SizeFamily, MechanismsThatOptOutAndHybridsRunAlone)
+{
+    static const bool registered = [] {
+        MechanismEntry dpo;
+        dpo.name = "dp_opt_out";
+        dpo.shortName = "DPO";
+        dpo.summary = "DP without size families, test_functional_sim";
+        dpo.params = {MechParam::makeUInt("rows", "table rows", 256, 1,
+                                          1024)};
+        dpo.build = [](const MechanismSpec &spec, PageTable &) {
+            return std::make_unique<OptOutDp>(TableConfig{
+                static_cast<std::uint32_t>(spec.uintParam("rows")),
+                TableAssoc::Direct});
+        };
+        MechanismRegistry::instance().add(dpo);
+        return true;
+    }();
+    ASSERT_TRUE(registered);
+    std::vector<Vpn> pages = {0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 18};
+    std::vector<std::size_t> running = expectFamiliesMatchOracle(
+        tinyConfig(), pageRefs(pages),
+        {"dp_opt_out(rows=4)", "dp_opt_out(rows=8)",
+         "hybrid(dp(rows=4)+sp)", "hybrid(dp(rows=8)+sp)"});
+    for (std::size_t n : running)
+        EXPECT_EQ(n, 4u);
+}
+
+/**
+ * The CI smoke compares single-pass and per-mechanism Figure-7 CSVs
+ * on these apps at 50000 refs; this pins that it covers both a family
+ * that splits mid-stream and one that never splits.
+ */
+TEST(SizeFamily, CiAppsSplitMidStreamAndNot)
+{
+    const std::vector<MechanismSpec> specs = figure7Specs();
+    const std::uint64_t refs = 50000;
+    for (const char *app : {"gzip", "gap", "anagram", "bc"}) {
+        SCOPED_TRACE(app);
+        auto stream = WorkloadSpec::app(app).build(refs);
+        FrontEnd<NoClock> core(SimConfig{}, specs);
+        core.feed(*stream, 1000);
+        ASSERT_GT(core.counters().misses, 0u);
+        std::size_t early = core.running();
+        core.feed(*stream, refs);
+        bool splits = core.running() > early;
+        EXPECT_EQ(splits, std::string(app) != "gap");
+        // ASP,1024..32, the last six, split only on bc.
+        std::vector<MechanismSpec> asp(specs.end() - 6, specs.end());
+        FrontEnd<NoClock> asp_core(SimConfig{}, asp);
+        asp_core.feed(*WorkloadSpec::app(app).build(refs), refs);
+        EXPECT_EQ(asp_core.running() == 1, std::string(app) != "bc");
+    }
 }
 
 // -------------------------------- page runs vs the per-reference oracle

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 
@@ -220,6 +221,16 @@ class ScanTable
     std::uint64_t misses() const { return _misses; }
     std::uint64_t evictions() const { return _evictions; }
 
+    /** Whether findOrInsert() of @p keys in order evicts: try it. */
+    bool
+    wouldEvict(std::initializer_list<std::uint64_t> keys) const
+    {
+        ScanTable trial = *this;
+        for (std::uint64_t key : keys)
+            trial.findOrInsert(key);
+        return trial.evictions() != _evictions;
+    }
+
     std::size_t
     occupancy() const
     {
@@ -387,6 +398,129 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(256u, TableAssoc::Full),
                       std::make_tuple(1024u, TableAssoc::Full),
                       std::make_tuple(64u, TableAssoc::FourWay)));
+
+TEST(PredictionTableFamily, WouldEvictCountsEarlierKeysOfTheList)
+{
+    PredictionTable<Payload> direct({4, TableAssoc::Direct});
+    EXPECT_FALSE(direct.wouldEvict(std::vector<std::uint64_t>{1}));
+    EXPECT_FALSE(direct.wouldEvict(std::vector<std::uint64_t>{1, 1}));
+    EXPECT_FALSE(direct.wouldEvict(std::vector<std::uint64_t>{1, 2}));
+    // 1 fills its row, so 5 (same row) would evict it.
+    EXPECT_TRUE(direct.wouldEvict(std::vector<std::uint64_t>{1, 5}));
+    direct.findOrInsert(1);
+    EXPECT_FALSE(direct.wouldEvict(std::vector<std::uint64_t>{1}));
+    EXPECT_TRUE(direct.wouldEvict(std::vector<std::uint64_t>{5}));
+    EXPECT_TRUE(direct.wouldEvict(std::vector<std::uint64_t>{2, 5}));
+    EXPECT_EQ(direct.evictions(), 0u); // asking changes nothing
+    EXPECT_EQ(direct.misses(), 1u);
+
+    PredictionTable<Payload> full({2, TableAssoc::Full});
+    full.findOrInsert(7);
+    EXPECT_FALSE(full.wouldEvict(std::vector<std::uint64_t>{8, 8}));
+    EXPECT_FALSE(full.wouldEvict(std::vector<std::uint64_t>{7, 8}));
+    EXPECT_TRUE(full.wouldEvict(std::vector<std::uint64_t>{8, 9}));
+}
+
+TEST(PredictionTableFamily, AdoptRejectsAnotherAssociativity)
+{
+    PredictionTable<Payload> small({4, TableAssoc::Direct});
+    PredictionTable<Payload> large({8, TableAssoc::TwoWay});
+    EXPECT_DEATH(large.adopt(small), "same associativity");
+}
+
+class SizeFamilyDifferential
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t,
+                                                 TableAssoc>>
+{
+};
+
+/**
+ * A size family of tables (rows r, 2r, 4r, 8r), run as the simulator
+ * runs one: only members up to the leader are fed; before each step
+ * the leader is asked whether the step would evict, and if so the
+ * next member adopts it, as often as needed.  Linear-scan models of
+ * every size are fed every step.  wouldEvict() must match the model
+ * trying the step, an adopted table must serialize to the bytes of
+ * the model fed all along (placement, use clocks, counters), and the
+ * members that run must keep matching their models to the end.
+ */
+TEST_P(SizeFamilyDifferential, AdoptMatchesLinearScanModels)
+{
+    auto [base_rows, assoc] = GetParam();
+    std::vector<TableConfig> configs;
+    for (std::uint32_t scale : {1u, 2u, 4u, 8u})
+        configs.push_back({base_rows * scale, assoc});
+    const std::uint64_t steps = 200ull * base_rows;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed * 104729 + base_rows);
+        std::vector<std::unique_ptr<PredictionTable<Payload>>> tables;
+        std::vector<ScanTable> models;
+        for (const TableConfig &config : configs) {
+            tables.push_back(
+                std::make_unique<PredictionTable<Payload>>(config));
+            models.emplace_back(config);
+        }
+        // Keys over twice the largest table, so even it evicts.
+        const std::uint64_t key_space = 2ull * configs.back().rows;
+        std::size_t lead = 0;
+        std::size_t splits = 0;
+        for (std::uint64_t step = 0; step < steps; ++step) {
+            SCOPED_TRACE(::testing::Message()
+                         << "rows " << base_rows << " assoc "
+                         << assocLabel(assoc) << " seed " << seed
+                         << " step " << step << " lead " << lead);
+            std::uint64_t a = rng.nextBelow(key_space);
+            std::uint64_t b = rng.nextBelow(key_space);
+            bool reset = rng.nextBelow(steps) < 2;
+            for (std::size_t m = 0; m <= lead; ++m)
+                ASSERT_EQ(tables[m]->wouldEvict(
+                              std::vector<std::uint64_t>{a, b}),
+                          models[m].wouldEvict({a, b}));
+            while (!reset && lead + 1 < tables.size() &&
+                   tables[lead]->wouldEvict(
+                       std::vector<std::uint64_t>{a, b})) {
+                auto adopted = std::make_unique<PredictionTable<Payload>>(
+                    configs[lead + 1]);
+                adopted->adopt(*tables[lead]);
+                ASSERT_EQ(snapshotOf(*adopted), models[lead + 1].snapshot());
+                ASSERT_EQ(adopted->occupancy(),
+                          models[lead + 1].occupancy());
+                tables[++lead] = std::move(adopted);
+                ++splits;
+            }
+            int value = static_cast<int>(step);
+            for (std::size_t m = 0; m < tables.size(); ++m) {
+                if (reset) {
+                    models[m].reset();
+                } else {
+                    models[m].findOrInsert(a).value = value;
+                    models[m].findOrInsert(b).value = value + 1;
+                }
+                if (m > lead)
+                    continue;
+                if (reset) {
+                    tables[m]->reset();
+                } else {
+                    tables[m]->findOrInsert(a).value = value;
+                    tables[m]->findOrInsert(b).value = value + 1;
+                }
+                ASSERT_EQ(snapshotOf(*tables[m]), models[m].snapshot());
+            }
+        }
+        EXPECT_EQ(lead, tables.size() - 1) << "family never fully split";
+        EXPECT_GE(splits, 3u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryAssoc, SizeFamilyDifferential,
+    ::testing::Values(std::make_tuple(8u, TableAssoc::Direct),
+                      std::make_tuple(8u, TableAssoc::TwoWay),
+                      std::make_tuple(16u, TableAssoc::FourWay),
+                      // 8 ways scanned, adopted into indexed sets.
+                      std::make_tuple(8u, TableAssoc::Full),
+                      // indexed sets adopted into wider ones.
+                      std::make_tuple(16u, TableAssoc::Full)));
 
 /**
  * Hand-built table checkpoint: the header, then (valid, key) per

@@ -356,6 +356,75 @@ TEST(SweepEngine, SinglePassMatchesPerMechanismCellForCell)
     }
 }
 
+/** Logs its cell's id at the cell's first miss: the start order. */
+class StartOrderProbe : public Prefetcher
+{
+  public:
+    StartOrderProbe(std::vector<std::uint64_t> &log, std::uint64_t id)
+        : _log(log), _id(id)
+    {
+    }
+
+    void
+    onMiss(const TlbMiss &, PrefetchDecision &) override
+    {
+        if (!_logged)
+            _log.push_back(_id);
+        _logged = true;
+    }
+
+    void reset() override {}
+    std::string name() const override { return "ORDER"; }
+    std::string label() const override { return "order"; }
+    HardwareProfile hardwareProfile() const override { return {}; }
+
+  private:
+    std::vector<std::uint64_t> &_log;
+    std::uint64_t _id;
+    bool _logged = false;
+};
+
+TEST(SweepEngine, HeadUnitRunsFirstEvenWhenLightest)
+{
+    static std::vector<std::uint64_t> started;
+    static const bool registered = [] {
+        MechanismEntry order;
+        order.name = "start_order";
+        order.shortName = "ORDER";
+        order.summary = "logs cell start order, test_sweep_engine";
+        order.params = {
+            MechParam::makeUInt("id", "cell id to log", 0, 0, 99)};
+        order.build = [](const MechanismSpec &spec, PageTable &) {
+            return std::make_unique<StartOrderProbe>(
+                started, spec.uintParam("id"));
+        };
+        MechanismRegistry::instance().add(order);
+        return true;
+    }();
+    ASSERT_TRUE(registered);
+
+    // Job 0 is the lightest; LPT alone would run it last.
+    std::vector<SweepJob> jobs;
+    std::uint64_t refs[] = {2000, 40000, 20000};
+    for (std::uint64_t id = 0; id < 3; ++id)
+        jobs.push_back(SweepJob::functional(
+            WorkloadSpec::app("gcc"),
+            MechanismSpec::parse("start_order(id=" +
+                                 std::to_string(id) + ")"),
+            refs[id]));
+    SweepEngine engine(1);
+    started.clear();
+    engine.run(jobs);
+    EXPECT_EQ(started, (std::vector<std::uint64_t>{0, 1, 2}));
+
+    // A single-pass group as the head unit goes first too.
+    jobs.push_back(jobs[0]);
+    std::swap(jobs[1], jobs[3]); // jobs 0 and 1 share a stream
+    started.clear();
+    engine.run(jobs, PassMode::SinglePass);
+    EXPECT_EQ(started, (std::vector<std::uint64_t>{0, 0, 1, 2}));
+}
+
 TEST(SweepEngine, LastBatchStatsReflectTheMostRecentRun)
 {
     std::vector<SweepJob> jobs = mixedBatch();

@@ -127,7 +127,7 @@ TEST(Tlb, PaperConfigurationsConstruct)
 TEST(PrefetchBuffer, HitRemovesEntry)
 {
     PrefetchBuffer pb(4);
-    pb.insert(10, 123);
+    pb.insertIfAbsent(10, 123);
     EXPECT_TRUE(pb.contains(10));
     Tick ready = 0;
     EXPECT_TRUE(pb.hitAndPromote(10, ready));
@@ -140,9 +140,9 @@ TEST(PrefetchBuffer, HitRemovesEntry)
 TEST(PrefetchBuffer, EvictsLruWhenFull)
 {
     PrefetchBuffer pb(2);
-    pb.insert(1);
-    pb.insert(2);
-    pb.insert(3); // evicts 1
+    pb.insertIfAbsent(1);
+    pb.insertIfAbsent(2);
+    pb.insertIfAbsent(3); // evicts 1
     EXPECT_FALSE(pb.contains(1));
     EXPECT_TRUE(pb.contains(2));
     EXPECT_TRUE(pb.contains(3));
@@ -150,27 +150,43 @@ TEST(PrefetchBuffer, EvictsLruWhenFull)
     EXPECT_EQ(pb.size(), 2u);
 }
 
-TEST(PrefetchBuffer, ReinsertRefreshesRecencyAndKeepsEarlierReadyTime)
+TEST(PrefetchBuffer, DuplicateInsertLeavesRecencyAndReadyTimeAlone)
 {
     PrefetchBuffer pb(2);
-    pb.insert(1, 100);
-    pb.insert(2, 200);
-    pb.insert(1, 500); // refresh: 2 becomes LRU, ready stays 100
-    pb.insert(3, 300); // evicts 2
-    EXPECT_TRUE(pb.contains(1));
-    EXPECT_FALSE(pb.contains(2));
+    EXPECT_TRUE(pb.insertIfAbsent(1, 100));
+    EXPECT_TRUE(pb.insertIfAbsent(2, 200));
+    EXPECT_FALSE(pb.insertIfAbsent(1, 500)); // 1 stays LRU
+    EXPECT_TRUE(pb.insertIfAbsent(3, 300));  // evicts 1
+    EXPECT_FALSE(pb.contains(1));
+    EXPECT_TRUE(pb.contains(2));
     Tick ready = 0;
-    pb.hitAndPromote(1, ready);
-    EXPECT_EQ(ready, 100u);
-    // Refresh does not double-count inserts.
+    EXPECT_TRUE(pb.hitAndPromote(2, ready));
+    EXPECT_EQ(ready, 200u);
+    // The refused duplicate is not counted as an insert.
     EXPECT_EQ(pb.inserts(), 3u);
+    EXPECT_EQ(pb.evictedUnused(), 1u);
+}
+
+TEST(PrefetchBuffer, HitThenReinsertStartsAtMru)
+{
+    PrefetchBuffer pb(2);
+    pb.insertIfAbsent(1, 100);
+    pb.insertIfAbsent(2, 200);
+    Tick ready = 0;
+    EXPECT_TRUE(pb.hitAndPromote(1, ready)); // 1 leaves for the TLB
+    EXPECT_TRUE(pb.insertIfAbsent(1, 500));  // back in, at MRU
+    EXPECT_TRUE(pb.insertIfAbsent(3, 300));  // evicts 2
+    EXPECT_FALSE(pb.contains(2));
+    EXPECT_TRUE(pb.hitAndPromote(1, ready));
+    EXPECT_EQ(ready, 500u);
+    EXPECT_EQ(pb.hits(), 2u);
 }
 
 TEST(PrefetchBuffer, FlushDropsAll)
 {
     PrefetchBuffer pb(4);
-    pb.insert(1);
-    pb.insert(2);
+    pb.insertIfAbsent(1);
+    pb.insertIfAbsent(2);
     pb.flush();
     EXPECT_EQ(pb.size(), 0u);
     EXPECT_FALSE(pb.contains(1));
@@ -180,7 +196,7 @@ TEST(PrefetchBuffer, CapacityNeverExceeded)
 {
     PrefetchBuffer pb(3);
     for (Vpn v = 0; v < 100; ++v) {
-        pb.insert(v);
+        pb.insertIfAbsent(v);
         EXPECT_LE(pb.size(), 3u);
     }
     EXPECT_EQ(pb.evictedUnused(), 97u);

@@ -107,7 +107,7 @@ class TimingSimulator
                 continue;
             }
             PrefetchChannel::Issue issue = _channel.issue(now, 1);
-            _buffer.insert(target, issue.done);
+            _buffer.insertIfAbsent(target, issue.done);
             ++_result.functional.prefetchesIssued;
             ++_result.memoryOps;
         }
