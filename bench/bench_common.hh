@@ -32,8 +32,9 @@
  *   --shard-warmup replay|checkpoint
  *                                  how shards reconstruct their warm
  *                                  state: independent prefix replay
- *                                  (~(N+1)/2x total CPU, best latency
- *                                  on many cores) or the default
+ *                                  (~(N+1)/2x total CPU, and no
+ *                                  faster: the last shard replays the
+ *                                  whole stream) or the default
  *                                  checkpoint chain (~1x total CPU)
  *   --single-pass on|off           batch consecutive same-stream
  *                                  functional cells into one stream
@@ -41,11 +42,6 @@
  *                                  back-ends on the misses (default
  *                                  on; bit-identical results either
  *                                  way; ignored when --shards > 1)
- *
- * The pre-registry per-scheme flags (--scheme/--rows/--assoc/--slots/
- * --degree/--adaptive/--reach) were deprecated in the release that
- * introduced --mech and have now been removed; passing one fails with
- * an error naming the equivalent --mech spec string.
  */
 
 #ifndef TLBPF_BENCH_BENCH_COMMON_HH
@@ -101,19 +97,6 @@ standardBenchFlags()
             "single-pass"};
 }
 
-/**
- * The pre-registry per-scheme flags, removed after their one-release
- * deprecation window.  They are still *recognised* (so option parsing
- * can collect their values) but rejected with an error that names the
- * equivalent --mech spec string, instead of a bare "unknown option".
- */
-inline std::vector<std::string>
-removedSchemeFlags()
-{
-    return {"scheme", "rows",     "assoc", "slots",
-            "degree", "adaptive", "reach"};
-}
-
 /** Print the mechanism registry (for --list-mechanisms) and exit 0. */
 [[noreturn]] inline void
 listMechanismsAndExit()
@@ -164,57 +147,6 @@ listMechanismsAndExit()
 }
 
 /**
- * The --mech spec string equivalent to a removed per-scheme flag
- * combination, used to make the rejection error actionable.  Without
- * --scheme the mechanism name is unknown; "<mechanism>" stands in.
- */
-inline std::string
-removedSchemeSpecString(const CliArgs &args)
-{
-    std::string spec =
-        args.has("scheme") ? args.get("scheme") : "<mechanism>";
-    std::string params;
-    auto append = [&params](const std::string &kv) {
-        params += (params.empty() ? "" : ",") + kv;
-    };
-    if (args.has("rows"))
-        append("rows=" + args.get("rows"));
-    if (args.has("assoc"))
-        append("assoc=" + args.get("assoc"));
-    if (args.has("slots"))
-        append("slots=" + args.get("slots"));
-    if (args.has("degree"))
-        append("degree=" + args.get("degree"));
-    if (args.has("adaptive")) {
-        std::string value = args.get("adaptive");
-        append(value.empty() ? "adaptive" : "adaptive=" + value);
-    }
-    if (args.has("reach"))
-        append("reach=" + args.get("reach"));
-    if (!params.empty())
-        spec += "(" + params + ")";
-    return spec;
-}
-
-/**
- * Fatal if any removed per-scheme flag is present, naming the --mech
- * spec string that replaces the given combination.
- */
-inline void
-rejectRemovedSchemeFlags(const CliArgs &args)
-{
-    std::string seen;
-    for (const std::string &flag : removedSchemeFlags())
-        if (args.has(flag))
-            seen += (seen.empty() ? "--" : ", --") + flag;
-    if (seen.empty())
-        return;
-    tlbpf_fatal(seen, ": the per-scheme flags were removed after "
-                      "their deprecation window; use --mech '",
-                removedSchemeSpecString(args), "'");
-}
-
-/**
  * Parse a count-valued flag with a hard range, shared by every bench
  * so the error always names the flag.  This is the one gate between
  * the int64 the CLI parses and the unsigned the options struct
@@ -237,12 +169,9 @@ parseBenchOptions(int argc, const char *const *argv,
                   std::vector<std::string> extra_known = {})
 {
     std::vector<std::string> known = standardBenchFlags();
-    for (const std::string &k : removedSchemeFlags())
-        known.push_back(k);
     for (auto &k : extra_known)
         known.push_back(k);
     CliArgs args(argc, argv, known);
-    rejectRemovedSchemeFlags(args);
     if (args.has("list-mechanisms"))
         listMechanismsAndExit();
     BenchOptions options;
@@ -417,21 +346,6 @@ runBatch(const BenchOptions &options, const std::vector<SweepJob> &jobs)
         ShardPlan plan = expandShards(jobs, options.shards);
         std::size_t tasks = std::max<std::size_t>(
             shardTaskCount(plan, options.shardWarmup), 1);
-        if (options.shardWarmup == ShardWarmup::Checkpoint &&
-            options.shards > 1 && tasks < options.threads) {
-            // Chaining trades replay's wall-clock fan-out for ~1x
-            // total CPU; with fewer cells than workers that trade is
-            // worth flagging so nobody waits on a silently-serial
-            // giant cell.
-            std::fprintf(stderr,
-                         "note: checkpoint warm-up chains each "
-                         "cell's shards into one task (%zu task%s "
-                         "for --threads %u); use --shard-warmup "
-                         "replay to trade ~(N+1)/2x total CPU for "
-                         "wall-clock fan-out of few large cells\n",
-                         tasks, tasks == 1 ? "" : "s",
-                         options.threads);
-        }
         unsigned threads = static_cast<unsigned>(
             std::min<std::size_t>(options.threads, tasks));
         SweepEngine engine(threads);

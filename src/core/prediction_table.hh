@@ -8,11 +8,13 @@
  * Figures 7-9.  Rows are tagged with the full key so aliasing behaves
  * like hardware would.
  *
- * Sets of at least kIndexMinWays ways (the paper's F geometries) are
- * looked up and replaced through a WideSetIndex, as the TLB's are, so
- * a 256-row fully-associative table costs O(1) per access instead of
- * a 256-row scan.  The rows stay authoritative: replacement picks the
- * same victim the scan would, and the snapshot bytes are the rows.
+ * The rows are an LruSets array (util/lru_sets.hh), as the TLB's
+ * entries are: it owns the set layout, lookup, replacement, the rows'
+ * snapshot and their restore checks, and indexes the wide sets of the
+ * F geometries so that a 256-row fully-associative table costs O(1)
+ * per access instead of a 256-row scan.  The table adds a clock that
+ * advances once per access, hit/miss/eviction counters, and the
+ * Payload reset of every allocated row.
  *
  * wouldEvict() and adopt() serve size families (sim/core.hh): tables
  * of one associativity whose row counts differ hold the same rows
@@ -27,12 +29,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "util/bits.hh"
 #include "util/logging.hh"
+#include "util/lru_sets.hh"
 #include "util/snapshot.hh"
-#include "util/wide_set_index.hh"
 
 namespace tlbpf
 {
@@ -80,18 +81,17 @@ class PredictionTable
 {
   public:
     explicit PredictionTable(const TableConfig &config)
-        : _config(config), _ways(config.ways()),
-          _wide(_ways ? config.rows / _ways : 0, _ways)
+        : _config(config),
+          _rows(config.ways() ? config.numSets() : 0, config.ways())
     {
         if (config.rows == 0)
             tlbpf_fatal("prediction table needs rows");
-        if (config.rows % _ways != 0) {
+        if (config.rows % config.ways() != 0) {
             tlbpf_fatal("rows (", config.rows,
-                        ") not a multiple of ways (", _ways, ")");
+                        ") not a multiple of ways (", config.ways(), ")");
         }
         if (!isPowerOfTwo(config.numSets()))
             tlbpf_fatal("prediction table sets must be a power of two");
-        _rows.resize(config.rows);
     }
 
     /**
@@ -101,23 +101,20 @@ class PredictionTable
     Payload *
     find(std::uint64_t key)
     {
-        Row *row = findRow(key);
-        if (!row)
+        std::uint32_t slot = _rows.find(key);
+        if (slot == Rows::kNoSlot)
             return nullptr;
-        row->lastUse = ++_clock;
-        if (_wide.enabled())
-            _wide.touch(slotOf(row));
+        _rows.touch(slot, ++_clock);
         ++_hits;
-        return &row->payload;
+        return &_rows.payload(slot);
     }
 
     /** Look up without disturbing LRU or counters. */
     const Payload *
     peek(std::uint64_t key) const
     {
-        const Row *row =
-            const_cast<PredictionTable *>(this)->findRow(key);
-        return row ? &row->payload : nullptr;
+        std::uint32_t slot = _rows.find(key);
+        return slot == Rows::kNoSlot ? nullptr : &_rows.row(slot).payload;
     }
 
     /**
@@ -130,33 +127,9 @@ class PredictionTable
         if (Payload *p = find(key))
             return *p;
         ++_misses;
-        std::size_t base = setBase(key);
-        Row *victim = nullptr;
-        if (_wide.enabled()) {
-            victim = &_rows[_wide.victim(_rows, base)];
-        } else {
-            for (std::size_t w = 0; w < _ways; ++w) {
-                Row &row = _rows[base + w];
-                if (!row.valid) {
-                    victim = &row;
-                    break;
-                }
-                if (!victim || row.lastUse < victim->lastUse)
-                    victim = &row;
-            }
-        }
-        if (victim->valid) {
-            ++_evictions;
-            if (_wide.enabled())
-                _wide.remove(victim->key, slotOf(victim));
-        }
-        victim->valid = true;
-        victim->key = key;
-        victim->lastUse = ++_clock;
-        victim->payload = Payload{};
-        if (_wide.enabled())
-            _wide.add(key, slotOf(victim));
-        return victim->payload;
+        auto fill = _rows.insert(key, ++_clock);
+        _evictions += fill.evicted.has_value();
+        return _rows.payload(fill.slot);
     }
 
     /** True if a row for @p key is resident. */
@@ -180,11 +153,11 @@ class PredictionTable
         for (std::size_t i = 0; i < keys.size(); ++i) {
             if (!allocates(i))
                 continue;
-            std::size_t base = setBase(keys[i]);
-            std::size_t used = setFill(base);
+            std::size_t set = _rows.setOf(keys[i]);
+            std::size_t used = _rows.setFill(set);
             for (std::size_t j = 0; j < i; ++j)
-                used += setBase(keys[j]) == base && allocates(j);
-            if (used >= _ways)
+                used += _rows.setOf(keys[j]) == set && allocates(j);
+            if (used >= _rows.ways())
                 return true;
         }
         return false;
@@ -193,12 +166,9 @@ class PredictionTable
     /**
      * Become the table a run of this geometry would hold had it seen
      * what @p smaller saw: @p smaller has the same associativity, at
-     * most as many rows, and has never evicted a row.  Its sets then
-     * split into this table's (set counts are powers of two), so each
-     * row fits.  Rows are placed set by set in @p smaller's way
-     * order, which is their insertion order: a table that never
-     * evicted fills each set's free ways first to last.  The LRU
-     * clock, rows' use clocks and the counters carry over.
+     * most as many rows, and has never evicted a row (LruSets::adopt
+     * places its rows).  The LRU clock, rows' use clocks and the
+     * counters carry over.
      */
     void
     adopt(const PredictionTable &smaller)
@@ -208,31 +178,17 @@ class PredictionTable
                          smaller._evictions == 0,
                      "adopt needs a smaller table of the same "
                      "associativity that never evicted");
-        std::fill(_rows.begin(), _rows.end(), Row{});
-        std::vector<std::uint32_t> filled(_config.numSets(), 0);
-        for (const Row &row : smaller._rows) {
-            if (!row.valid)
-                continue;
-            std::size_t base = setBase(row.key);
-            std::uint32_t &way = filled[base / _ways];
-            tlbpf_assert(way < _ways, "adopted row overflows its set");
-            _rows[base + way++] = row;
-        }
+        _rows.adopt(smaller._rows);
         _clock = smaller._clock;
         _hits = smaller._hits;
         _misses = smaller._misses;
         _evictions = smaller._evictions;
-        if (_wide.enabled())
-            _wide.rebuild(_rows);
     }
 
     void
     reset()
     {
-        for (Row &row : _rows)
-            row.valid = false;
-        if (_wide.enabled())
-            _wide.clear();
+        _rows.clear();
         _clock = 0;
         _hits = 0;
         _misses = 0;
@@ -245,14 +201,7 @@ class PredictionTable
     std::uint64_t evictions() const { return _evictions; }
 
     /** Number of valid rows (for occupancy diagnostics). */
-    std::size_t
-    occupancy() const
-    {
-        std::size_t n = 0;
-        for (const Row &row : _rows)
-            n += row.valid ? 1 : 0;
-        return n;
-    }
+    std::size_t occupancy() const { return _rows.resident(); }
 
     /**
      * Serialize the table (LRU clock, hit/miss/eviction counters and
@@ -268,23 +217,13 @@ class PredictionTable
         out.u64(_hits);
         out.u64(_misses);
         out.u64(_evictions);
-        out.u64(_rows.size());
-        for (const Row &row : _rows) {
-            out.boolean(row.valid);
-            if (!row.valid)
-                continue;
-            out.u64(row.key);
-            out.u64(row.lastUse);
-            write_payload(out, row.payload);
-        }
+        _rows.snapshotState(out, write_payload);
     }
 
     /**
      * Restore state written by snapshotState() into a table of the
      * same geometry; throws std::invalid_argument (via
-     * SnapshotReader::fail) if the row count differs, a key sits in
-     * the wrong set or a key is stored twice.  A scan would merely
-     * hide such rows, but the wide-set index would find them.
+     * SnapshotReader::fail) on a mismatch or malformed rows.
      */
     template <typename ReadPayload>
     void
@@ -294,37 +233,7 @@ class PredictionTable
         _hits = in.u64();
         _misses = in.u64();
         _evictions = in.u64();
-        std::uint64_t rows = in.u64();
-        if (rows != _rows.size())
-            SnapshotReader::fail(
-                "prediction table has " + std::to_string(rows) +
-                " rows, expected " + std::to_string(_rows.size()));
-        std::vector<std::uint64_t> keys;
-        keys.reserve(_rows.size());
-        for (std::size_t i = 0; i < _rows.size(); ++i) {
-            Row &row = _rows[i];
-            row.valid = in.boolean();
-            if (!row.valid) {
-                row.key = 0;
-                row.lastUse = 0;
-                row.payload = Payload{};
-                continue;
-            }
-            row.key = in.u64();
-            if (setBase(row.key) != i - i % _ways)
-                SnapshotReader::fail(
-                    "prediction table checkpoint places key " +
-                    std::to_string(row.key) + " in the wrong set");
-            keys.push_back(row.key);
-            row.lastUse = in.u64();
-            read_payload(in, row.payload);
-        }
-        std::sort(keys.begin(), keys.end());
-        if (std::adjacent_find(keys.begin(), keys.end()) != keys.end())
-            SnapshotReader::fail(
-                "duplicate prediction table key in checkpoint");
-        if (_wide.enabled())
-            _wide.rebuild(_rows);
+        _rows.restoreState(in, "prediction table", read_payload);
     }
 
     /**
@@ -351,62 +260,10 @@ class PredictionTable
     }
 
   private:
-    struct Row
-    {
-        std::uint64_t key = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        Payload payload{};
-    };
-
-    std::size_t
-    setBase(std::uint64_t key) const
-    {
-        return (key & (_config.numSets() - 1)) *
-               static_cast<std::size_t>(_ways);
-    }
-
-    /** Valid rows in the set whose first slot is @p base. */
-    std::size_t
-    setFill(std::size_t base) const
-    {
-        if (_wide.enabled())
-            return _wide.resident(base);
-        std::size_t n = 0;
-        for (std::size_t w = 0; w < _ways; ++w)
-            n += _rows[base + w].valid;
-        return n;
-    }
-
-    std::uint32_t
-    slotOf(const Row *row) const
-    {
-        return static_cast<std::uint32_t>(row - _rows.data());
-    }
-
-    Row *
-    findRow(std::uint64_t key)
-    {
-        if (_wide.enabled()) {
-            std::uint32_t slot = _wide.find(key);
-            return slot == Index::kNoSlot ? nullptr : &_rows[slot];
-        }
-        std::size_t base = setBase(key);
-        for (std::size_t w = 0; w < _ways; ++w) {
-            Row &row = _rows[base + w];
-            if (row.valid && row.key == key)
-                return &row;
-        }
-        return nullptr;
-    }
-
-    using Index = WideSetIndex<Row, &Row::key>;
+    using Rows = LruSets<Payload>;
 
     TableConfig _config;
-    std::uint32_t _ways;
-    std::vector<Row> _rows;
-    /** Lookup and LRU acceleration; disabled for narrow sets. */
-    Index _wide;
+    Rows _rows;
     std::uint64_t _clock = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

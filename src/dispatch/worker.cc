@@ -1,12 +1,8 @@
 #include "dispatch/worker.hh"
 
-#include <arpa/inet.h>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
-#include <netinet/in.h>
 #include <stdexcept>
 #include <sys/socket.h>
 #include <thread>
@@ -23,27 +19,6 @@ std::string
 checkpointSubdir(const std::string &root)
 {
     return root.empty() ? "" : root + "/checkpoints";
-}
-
-int
-connectTo(const std::string &host, std::uint16_t port)
-{
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-        throw std::invalid_argument(
-            "'" + host + "' is not a dotted-quad IPv4 address");
-    int raw = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (raw < 0)
-        throw TransportError(std::string("cannot create socket: ") +
-                             std::strerror(errno));
-    OwnedFd sock(raw);
-    if (::connect(sock.fd(), reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-        return -1; // retryable; the caller backs off
-    setNoDelay(sock.fd());
-    return sock.release();
 }
 
 /**
@@ -129,8 +104,11 @@ DispatchWorker::run()
 {
     std::uint64_t failures = 0;
     while (!_stop.load()) {
-        int raw = connectTo(_options.host, _options.port);
-        if (raw < 0) {
+        OwnedFd fd;
+        try {
+            fd = connectTcp(_options.host, _options.port);
+        } catch (const TransportError &) {
+            // Retryable: the server may not be up yet.
             failures += 1;
             if (_options.maxReconnectAttempts &&
                 failures >= _options.maxReconnectAttempts)
@@ -143,7 +121,6 @@ DispatchWorker::run()
             continue;
         }
         failures = 0;
-        OwnedFd fd(raw);
         _activeFd.store(fd.fd());
         try {
             session(fd.fd());

@@ -1,11 +1,6 @@
 #include "service/client.hh"
 
-#include <arpa/inet.h>
-#include <cerrno>
-#include <cstring>
-#include <netinet/in.h>
 #include <stdexcept>
-#include <sys/socket.h>
 
 namespace tlbpf
 {
@@ -26,25 +21,8 @@ serverError(const JsonValue &message)
 
 ServiceClient::ServiceClient(const std::string &host,
                              std::uint16_t port)
+    : _fd(connectTcp(host, port))
 {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-        throw std::invalid_argument(
-            "'" + host + "' is not a dotted-quad IPv4 address");
-    int raw = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (raw < 0)
-        throw TransportError(std::string("cannot create socket: ") +
-                             std::strerror(errno));
-    OwnedFd sock(raw);
-    if (::connect(sock.fd(), reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0)
-        throw TransportError("cannot connect to " + host + ":" +
-                             std::to_string(port) + ": " +
-                             std::strerror(errno));
-    setNoDelay(sock.fd());
-    _fd = std::move(sock);
 }
 
 JsonValue

@@ -1,5 +1,6 @@
 #include "service/protocol.hh"
 
+#include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -117,6 +118,29 @@ writeFrame(int fd, const std::string &payload)
         frame[i] = static_cast<char>(length >> (8 * i));
     frame += payload;
     writeAll(fd, frame.data(), frame.size());
+}
+
+OwnedFd
+connectTcp(const std::string &host, std::uint16_t port)
+{
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
+        throw std::invalid_argument(
+            "'" + host + "' is not a dotted-quad IPv4 address");
+    int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (raw < 0)
+        throw TransportError(std::string("cannot create socket: ") +
+                             std::strerror(errno));
+    OwnedFd sock(raw);
+    if (::connect(sock.fd(), reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0)
+        throw TransportError("cannot connect to " + host + ":" +
+                             std::to_string(port) + ": " +
+                             std::strerror(errno));
+    setNoDelay(sock.fd());
+    return sock;
 }
 
 void

@@ -105,6 +105,14 @@ class OwnedFd
 void writeFrame(int fd, const std::string &payload);
 
 /**
+ * Connect a TCP socket to @p host (dotted-quad IPv4) : @p port, with
+ * Nagle's algorithm off (setNoDelay).  Throws std::invalid_argument
+ * on a malformed address and TransportError when the socket cannot
+ * be created or the connect fails.
+ */
+OwnedFd connectTcp(const std::string &host, std::uint16_t port);
+
+/**
  * Disable Nagle's algorithm on a connected TCP socket.  The protocol
  * is request/reply: a frame held back waiting for the ACK of the
  * previous one stalls a round trip by the peer's delayed-ACK timer.

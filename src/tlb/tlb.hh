@@ -3,6 +3,12 @@
  * Set-associative / fully-associative data TLB with true-LRU
  * replacement, matching the configurations evaluated in the paper
  * (64/128/256 entries; 2-way, 4-way and fully associative).
+ *
+ * The entries are an LruSets array (util/lru_sets.hh), which owns
+ * the set layout, lookup, replacement and the entry rows' snapshot.
+ * The TLB adds its recency clock, which a hit on a page run advances
+ * by the run's length, and a last-hit slot that lets a repeated page
+ * skip the lookup.
  */
 
 #ifndef TLBPF_TLB_TLB_HH
@@ -10,11 +16,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "trace/ref_stream.hh"
 #include "util/snapshot.hh"
-#include "util/wide_set_index.hh"
+#include "util/lru_sets.hh"
 
 namespace tlbpf
 {
@@ -76,9 +81,9 @@ class Tlb
     void flush();
 
     const TlbConfig &config() const { return _config; }
-    std::uint32_t residentCount() const { return _resident; }
+    std::uint32_t residentCount() const { return _entries.resident(); }
 
-    /** Serialize entries (set order) and the recency clock. */
+    /** Serialize the recency clock, then the entries (set order). */
     void snapshotState(SnapshotWriter &out) const;
 
     /**
@@ -88,37 +93,16 @@ class Tlb
     void restoreState(SnapshotReader &in);
 
   private:
-    struct Entry
-    {
-        Vpn vpn = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    std::size_t setIndex(Vpn vpn) const;
-    /** Slot of the valid entry for @p vpn, or UINT32_MAX. */
-    std::uint32_t findSlot(Vpn vpn) const;
-
     TlbConfig _config;
-    std::uint32_t _ways;
-    std::vector<Entry> _entries; // sets * ways, row-major by set
+    LruSets<> _entries;
     std::uint64_t _clock = 0;
-    std::uint32_t _resident = 0;
-    /**
-     * Lookup index and recency lists for wide sets (the paper's
-     * fully-associative default would otherwise scan 128 ways per
-     * reference and per miss).  Pure acceleration: _entries stays
-     * authoritative, so replacement and the snapshot byte format are
-     * unchanged.  Disabled for narrow sets, which are scanned.
-     */
-    WideSetIndex<Entry, &Entry::vpn> _wide;
     /**
      * Slot of the most recent hit or fill: consecutive references to
-     * the same page short-circuit the probe entirely.  The cached
-     * entry is by construction at the head of its set's recency list,
-     * so only its use clock needs touching.
+     * the same page skip the lookup.  The cached entry is by
+     * construction its set's most recently used, so a touch only
+     * restamps its use clock.
      */
-    std::uint32_t _lastHit = UINT32_MAX;
+    std::uint32_t _lastHit = LruSets<>::kNoSlot;
 };
 
 } // namespace tlbpf

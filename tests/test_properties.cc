@@ -18,12 +18,17 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "core/distance_predictor.hh"
 #include "sim/experiment.hh"
 #include "sim/functional_sim.hh"
+#include "tlb/tlb.hh"
 #include "trace/ref_stream.hh"
 #include "util/random.hh"
+#include "util/snapshot.hh"
 
 namespace tlbpf
 {
@@ -135,6 +140,110 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(p.pbEntries);
     });
 
+/**
+ * Reference true-LRU model of one TLB: per set a recency list (front =
+ * MRU), plus the way each resident page occupies and the recency
+ * clock, so that it also predicts the TLB's snapshot bytes.  A fill
+ * takes the set's first free way, else the LRU page's way.
+ */
+class TlbModel
+{
+  public:
+    TlbModel(std::uint32_t entries, std::uint32_t assoc)
+        : _ways(assoc == 0 ? entries : assoc), _sets(entries / _ways),
+          _lru(_sets), _slots(entries)
+    {
+    }
+
+    bool
+    access(Vpn vpn, std::uint64_t count)
+    {
+        auto &lru = _lru[vpn % _sets];
+        auto it = std::find(lru.begin(), lru.end(), vpn);
+        if (it == lru.end())
+            return false;
+        lru.splice(lru.begin(), lru, it);
+        _lastUse[vpn] = _clock += count;
+        return true;
+    }
+
+    std::optional<Vpn>
+    insert(Vpn vpn)
+    {
+        std::uint64_t set = vpn % _sets;
+        auto &lru = _lru[set];
+        std::optional<Vpn> evicted;
+        if (lru.size() == _ways) {
+            evicted = lru.back();
+            invalidate(*evicted);
+        }
+        std::size_t slot = set * _ways;
+        while (_slots[slot])
+            ++slot;
+        _slots[slot] = vpn;
+        lru.push_front(vpn);
+        _lastUse[vpn] = ++_clock;
+        return evicted;
+    }
+
+    bool
+    invalidate(Vpn vpn)
+    {
+        auto &lru = _lru[vpn % _sets];
+        auto it = std::find(lru.begin(), lru.end(), vpn);
+        if (it == lru.end())
+            return false;
+        lru.erase(it);
+        *std::find(_slots.begin(), _slots.end(), vpn) = std::nullopt;
+        _lastUse.erase(vpn);
+        return true;
+    }
+
+    void
+    flush()
+    {
+        for (auto &lru : _lru)
+            lru.clear();
+        std::fill(_slots.begin(), _slots.end(), std::nullopt);
+        _lastUse.clear();
+    }
+
+    std::uint32_t resident() const { return _lastUse.size(); }
+
+    /** The bytes Tlb::snapshotState writes for this state. */
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        SnapshotWriter out;
+        out.u64(_clock);
+        out.u64(_slots.size());
+        for (const std::optional<Vpn> &vpn : _slots) {
+            out.boolean(vpn.has_value());
+            if (vpn) {
+                out.u64(*vpn);
+                out.u64(_lastUse.at(*vpn));
+            }
+        }
+        return out.take();
+    }
+
+  private:
+    std::uint32_t _ways;
+    std::uint32_t _sets;
+    std::uint64_t _clock = 0;
+    std::vector<std::list<Vpn>> _lru;
+    std::vector<std::optional<Vpn>> _slots;
+    std::map<Vpn, std::uint64_t> _lastUse;
+};
+
+std::vector<std::uint8_t>
+snapshotBytes(const Tlb &tlb)
+{
+    SnapshotWriter out;
+    tlb.snapshotState(out);
+    return out.take();
+}
+
 /** P3: cross-check the TLB against a reference true-LRU model. */
 class TlbVsReference
     : public ::testing::TestWithParam<std::pair<std::uint32_t,
@@ -145,39 +254,47 @@ class TlbVsReference
 TEST_P(TlbVsReference, MatchesReferenceLru)
 {
     auto [entries, assoc] = GetParam();
-    Tlb tlb({entries, assoc});
-    std::uint32_t ways = assoc == 0 ? entries : assoc;
-    std::uint32_t sets = entries / ways;
-
-    // Reference model: per-set list, front = MRU.
-    std::map<std::uint64_t, std::list<Vpn>> model;
+    auto tlb = std::make_unique<Tlb>(TlbConfig{entries, assoc});
+    TlbModel model(entries, assoc);
 
     Rng rng(entries * 31 + assoc);
     for (int i = 0; i < 50000; ++i) {
+        // Page runs of one to four references, as streams hand out.
         Vpn vpn = rng.nextBelow(entries * 3);
-        std::uint64_t set = vpn % sets;
-        auto &lru = model[set];
-        auto it = std::find(lru.begin(), lru.end(), vpn);
+        std::uint64_t count = 1 + rng.nextBelow(4);
+        bool model_hit = model.access(vpn, count);
+        ASSERT_EQ(tlb->access(vpn, count), model_hit) << "ref " << i;
+        if (!model_hit) {
+            ASSERT_EQ(tlb->insert(vpn), model.insert(vpn)) << "ref " << i;
+        }
 
-        bool model_hit = it != lru.end();
-        bool tlb_hit = tlb.access(vpn);
-        ASSERT_EQ(tlb_hit, model_hit) << "ref " << i;
-
-        if (model_hit) {
-            lru.erase(it);
-            lru.push_front(vpn);
-        } else {
-            auto evicted = tlb.insert(vpn);
-            if (lru.size() >= ways) {
-                ASSERT_TRUE(evicted.has_value());
-                ASSERT_EQ(*evicted, lru.back());
-                lru.pop_back();
-            } else {
-                ASSERT_EQ(evicted, std::nullopt);
-            }
-            lru.push_front(vpn);
+        // Invalidations leave free ways between resident ones.
+        if (i % 7 == 0) {
+            Vpn gone = rng.nextBelow(entries * 3);
+            ASSERT_EQ(tlb->invalidate(gone), model.invalidate(gone))
+                << "ref " << i;
+        }
+        if (i % 7919 == 7918) {
+            tlb->flush();
+            model.flush();
+        }
+        if (i % 1000 == 0) {
+            ASSERT_EQ(tlb->residentCount(), model.resident()) << "ref " << i;
+            ASSERT_EQ(snapshotBytes(*tlb), model.bytes()) << "ref " << i;
+        }
+        // Carry on in a fresh TLB restored from a mid-sequence
+        // checkpoint.
+        if (i == 25000) {
+            std::vector<std::uint8_t> bytes = snapshotBytes(*tlb);
+            auto restored = std::make_unique<Tlb>(TlbConfig{entries, assoc});
+            SnapshotReader in(bytes);
+            restored->restoreState(in);
+            ASSERT_TRUE(in.atEnd());
+            ASSERT_EQ(snapshotBytes(*restored), bytes);
+            tlb = std::move(restored);
         }
     }
+    ASSERT_EQ(snapshotBytes(*tlb), model.bytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -185,7 +302,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair(4u, 0u), std::make_pair(8u, 2u),
                       std::make_pair(16u, 4u), std::make_pair(64u, 0u),
                       std::make_pair(128u, 2u),
-                      std::make_pair(128u, 0u)),
+                      std::make_pair(128u, 0u), std::make_pair(256u, 0u),
+                      std::make_pair(512u, 32u)),
     [](const auto &info) {
         std::string name = "e";
         name += std::to_string(info.param.first);
